@@ -7,7 +7,7 @@ walk-through builds a tiny two-frame instance, round-trips it through the
 text format, and evaluates every aggregate-density objective exactly.
 """
 
-from dcs import AA, AM, KMA, MA, MM, frame_densities, parse, score, serialize
+from dcs import AA, AM, KMA, MA, MM, parse, score, serialize
 
 # frame 0 has one edge; frame 1 adds a second edge hanging off vertex 1
 text = """\
@@ -22,8 +22,9 @@ print(f"instance: n={g.n}, T={g.T}, frames={g.frames}")
 # serialization is canonical: parse(serialize(g)) is byte-for-byte stable
 assert serialize(g) == text
 
-# per-frame densities |E_t[S]| / |S| for the full vertex set
-print("densities of V:", frame_densities(g, range(g.n)))
+# per-frame densities |E_t[S]| / |S| for the full vertex set: the
+# quantities the MA score takes the minimum of
+print("densities of V:", score(g, range(g.n), MA).per_frame)
 
 # the five objectives, all exact rationals (no floating point anywhere)
 for kind in (MM, MA, AM, AA, KMA(1), KMA(2)):

@@ -64,7 +64,7 @@ from .ma import (
     subset_search,
 )
 from .mcss import EdgeSolution, check_spanning, mcss_greedy, mcss_greedy_run, potential
-from .objectives import AA, AM, KMA, MA, MM, ObjectiveKind, Score, frame_densities, score
+from .objectives import AA, AM, KMA, MA, MM, ObjectiveKind, Score, score
 from .oracle import (
     OracleBudget,
     exact_best,

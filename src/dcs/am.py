@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BudgetExceeded
-from .temporal import TemporalGraph, VertexSet
+from .temporal import TemporalGraph, VertexSet, induced_degrees
 
 CoreVector = tuple[int, ...]
 
@@ -37,7 +37,8 @@ def _peel(g: TemporalGraph, kv: CoreVector, start: frozenset[int]) -> frozenset[
     """Maximal subset of `start` meeting all thresholds (classic peeling)."""
     adjs = [g.adjacency(t) for t in range(g.T)]
     alive = set(start)
-    deg = [{v: len(adjs[t][v] & alive) for v in alive} for t in range(g.T)]
+    order = list(alive)
+    deg = [dict(zip(order, induced_degrees(g, t, order, alive))) for t in range(g.T)]
     stack = [
         v for v in alive if any(deg[t][v] < kv[t] for t in range(g.T))
     ]

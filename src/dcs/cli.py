@@ -20,6 +20,7 @@ parallel deployments and never affects results.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -27,7 +28,7 @@ import time
 from fractions import Fraction
 
 from . import am, generators, lp, ma, mcss, objectives, oracle, temporal
-from .errors import BudgetExceeded, DcsError
+from .errors import BudgetExceeded, DcsError, InfeasibleFrame
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -177,8 +178,6 @@ def _solve_report_json(rep: ma.SolveReport) -> dict:
     }
     if rep.frames_covered_per_iteration is not None:
         out["frames_covered_per_iteration"] = list(rep.frames_covered_per_iteration)
-    if rep.seed is not None:
-        out["seed"] = rep.seed
     if rep.candidate_scores:
         out["candidate_scores"] = {k: str(v) for k, v in rep.candidate_scores.items()}
     return out
@@ -200,14 +199,11 @@ def _run_gen(args) -> dict:
     elif args.generator == "mis":
         if args.infile:
             base = temporal.load(args.infile)
-        elif args.n:
+        elif args.n is not None:
             base = generators.random_graph(args.n, args.edge_prob, args.seed)
-            adj = base.adjacency(0)
-            if all(len(adj[v]) == base.n - 1 for v in range(base.n)):
-                # random draw came out complete: drop one edge to stay reducible
-                frame = list(base.frames[0])
-                frame.remove((0, 1))
-                base = temporal.TemporalGraph(base.n, [frame])
+            if base.n > 1 and len(base.frames[0]) == base.n * (base.n - 1) // 2:
+                # random draw came out complete: drop edge (0, 1) to stay reducible
+                base = temporal.TemporalGraph(base.n, [base.frames[0][1:]])
         else:
             raise _UsageError("gen mis needs --in or --n")
         g = generators.reduce_mis_to_am(base)
@@ -369,13 +365,13 @@ def _run_eval(args) -> dict:
     kinds = [objectives.MM, objectives.MA, objectives.AM, objectives.AA]
     if args.k is not None:
         kinds.append(objectives.KMA(args.k))
-    scores = {repr(kind): _score_json(objectives.score(g, members, kind)) for kind in kinds}
+    scores = {repr(kind): objectives.score(g, members, kind) for kind in kinds}
     return {
         "instance": _instance_info(g, args.infile),
         "result": {
             "set": sorted(set(members)),
-            "scores": scores,
-            "frame_densities": [str(v) for v in objectives.frame_densities(g, members)],
+            "scores": {name: _score_json(s) for name, s in scores.items()},
+            "frame_densities": [str(v) for v in scores["MA"].per_frame],
         },
     }
 
@@ -399,7 +395,7 @@ def _run_bench(args) -> dict:
     _, value = am.fpt_approx_am(g, args.eps)
     rows.append({"algorithm": "fpt-am", "score": str(value),
                  "wall_time": time.perf_counter() - t0})
-    if all(mcss.component_count(g.n, fr) == 1 for fr in g.frames):
+    with contextlib.suppress(InfeasibleFrame):  # greedy needs connected frames
         t0 = time.perf_counter()
         solution = mcss.mcss_greedy(g)
         rows.append({"algorithm": "mcss-greedy", "score": str(len(solution)),

@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .objectives import MA, Score, score
-from .temporal import TemporalGraph, VertexSet
+from .temporal import TemporalGraph, VertexSet, induced_degrees
 
 
 @dataclass
@@ -40,7 +40,6 @@ class SolveReport:
     score: Score
     frames_covered_per_iteration: tuple[int, ...] | None = None
     wall_time: float = 0.0
-    seed: int | None = None
     zero_score: bool = False
     candidate_scores: dict[str, Fraction] = field(default_factory=dict)
 
@@ -69,8 +68,7 @@ def _ma_value(g: TemporalGraph, members: tuple[int, ...]) -> Fraction:
     inside = set(members)
     worst = None
     for t in range(g.T):
-        adj = g.adjacency(t)
-        count = sum(len(adj[v] & inside) for v in members) // 2
+        count = sum(induced_degrees(g, t, members, inside)) // 2
         if worst is None or count < worst:
             worst = count
         if worst == 0:
@@ -100,9 +98,8 @@ def greedy_cover(g: TemporalGraph) -> SolveReport:
         near = [0] * n
         pair_bits: dict[tuple[int, int], int] = {}
         for bit, t in enumerate(uncovered):
-            adj = g.adjacency(t)
-            for u in range(n):
-                if adj[u] & chosen:
+            for u, d in enumerate(induced_degrees(g, t, range(n), chosen)):
+                if d:
                     near[u] |= 1 << bit
             for e in g.frames[t]:
                 pair_bits[e] = pair_bits.get(e, 0) | 1 << bit

@@ -65,26 +65,33 @@ def component_count(n: int, edges) -> int:
     return count
 
 
-def _check_subset(g: TemporalGraph, f: EdgeSolution) -> None:
-    extra = set(f.edges) - set(g.union_edges)
-    if extra:
-        raise EdgeNotInUnion(f"edges {sorted(extra)} are not in the union edge set")
+def require_connected(g: TemporalGraph) -> None:
+    """Raise InfeasibleFrame naming the first disconnected frame, if any."""
+    for t, frame_edges in enumerate(g.frames):
+        if component_count(g.n, frame_edges) != 1:
+            raise InfeasibleFrame(f"frame {t} is disconnected")
+
+
+def edge_frames(g: TemporalGraph) -> dict[Edge, list[int]]:
+    """Ascending frame indices holding each union edge, in union-edge order."""
+    out: dict[Edge, list[int]] = {e: [] for e in g.union_edges}
+    for t, frame_edges in enumerate(g.frames):
+        for e in frame_edges:
+            out[e].append(t)
+    return out
 
 
 def check_spanning(g: TemporalGraph, f: EdgeSolution) -> bool:
     """True iff (V, F ∩ E_t) is connected for every frame t."""
-    _check_subset(g, f)
-    chosen = set(f.edges)
-    for frame_edges in g.frames:
-        if component_count(g.n, [e for e in frame_edges if e in chosen]) != 1:
-            return False
-    return True
+    return potential(g, f) == 0
 
 
 def potential(g: TemporalGraph, f: EdgeSolution) -> int:
     """Total component count across frames minus T; zero iff F spans every frame."""
-    _check_subset(g, f)
     chosen = set(f.edges)
+    extra = chosen - set(g.union_edges)
+    if extra:
+        raise EdgeNotInUnion(f"edges {sorted(extra)} are not in the union edge set")
     return sum(
         component_count(g.n, [e for e in frame_edges if e in chosen])
         for frame_edges in g.frames
@@ -110,13 +117,9 @@ def mcss_greedy_run(g: TemporalGraph) -> GreedyRun:
     phase boundary is recorded for auditability.
     """
     n, T = g.n, g.T
-    for t, frame_edges in enumerate(g.frames):
-        if component_count(n, frame_edges) != 1:
-            raise InfeasibleFrame(f"frame {t} is disconnected")
-
+    require_connected(g)
     union = g.union_edges
-    frame_sets = [set(fr) for fr in g.frames]
-    edge_frames = {e: [t for t in range(T) if e in frame_sets[t]] for e in union}
+    frames_of = edge_frames(g)
 
     parents = [list(range(n)) for _ in range(T)]
     rho = n * T - T
@@ -133,14 +136,14 @@ def mcss_greedy_run(g: TemporalGraph) -> GreedyRun:
         for e in union:
             u, v = e
             gain = 0
-            for t in edge_frames[e]:
+            for t in frames_of[e]:
                 if _find(parents[t], u) != _find(parents[t], v):
                     gain += 1
             if gain > best_gain:
                 best_edge, best_gain = e, gain
         assert best_edge is not None  # connected frames guarantee a useful edge
         u, v = best_edge
-        for t in edge_frames[best_edge]:
+        for t in frames_of[best_edge]:
             ru, rv = _find(parents[t], u), _find(parents[t], v)
             if ru != rv:
                 parents[t][ru] = rv

@@ -62,36 +62,21 @@ class Score:
     per_frame: tuple[Fraction, ...]
 
 
-def _require_solution(g: TemporalGraph, s: VertexSet | Iterable[int]) -> VertexSet:
+def score(g: TemporalGraph, s: VertexSet | Iterable[int], kind: ObjectiveKind) -> Score:
+    """Evaluate one objective on (g, S).  All arithmetic is exact."""
     s = as_vertex_set(s)
     if not s.members:
         raise EmptySolution("solution set is empty")
     check_members(g, s)
-    return s
-
-
-def frame_densities(g: TemporalGraph, s: VertexSet | Iterable[int]) -> list[Fraction]:
-    """Per-frame induced densities |E_t[S]| / |S|, exactly."""
-    s = _require_solution(g, s)
-    size = len(s.members)
-    out = []
-    for t in range(g.T):
-        degs = induced_degrees(g, t, s.members)
-        out.append(Fraction(sum(degs) // 2, size))
-    return out
-
-
-def score(g: TemporalGraph, s: VertexSet | Iterable[int], kind: ObjectiveKind) -> Score:
-    """Evaluate one objective on (g, S).  All arithmetic is exact."""
-    s = _require_solution(g, s)
     size = len(s.members)
     if kind.name == "kma" and kind.k > g.T:
         raise KOrderOutOfRange(f"KMA order {kind.k} exceeds frame count {g.T}")
 
+    inside = set(s.members)
     edge_counts: list[int] = []
     min_degs: list[int] = []
     for t in range(g.T):
-        degs = induced_degrees(g, t, s.members)
+        degs = induced_degrees(g, t, s.members, inside)
         edge_counts.append(sum(degs) // 2)
         min_degs.append(min(degs))
 

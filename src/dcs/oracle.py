@@ -19,13 +19,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceeded, InfeasibleFrame, KOrderOutOfRange, Uncoverable
+from .errors import BudgetExceeded, KOrderOutOfRange, Uncoverable
 from .generators import MinRepInstance, SetCoverInstance
-from .mcss import EdgeSolution, component_count
+from .mcss import EdgeSolution, edge_frames, require_connected
 from .objectives import ObjectiveKind, Score, score
 from .temporal import TemporalGraph, VertexSet
 
 _CHUNK = 1 << 16
+# exact_best keeps two int64 entries (16 bytes) per subset mask; refuse past this.
+_MAX_TABLE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,9 @@ def exact_best(
     n = g.n
     if n > budget.max_vertices:
         raise BudgetExceeded(f"n = {n} exceeds subset budget {budget.max_vertices}")
+    if 16 << n > _MAX_TABLE_BYTES:
+        raise BudgetExceeded(f"n = {n} needs {16 << n} bytes of subset tables, "
+                             f"over the {_MAX_TABLE_BYTES}-byte cap")
     if kind.name == "kma" and kind.k > g.T:
         raise KOrderOutOfRange(f"KMA order {kind.k} exceeds frame count {g.T}")
 
@@ -153,24 +158,19 @@ def exact_mcss(g: TemporalGraph, budget: OracleBudget | None = None) -> EdgeSolu
             f"|E| = {m} exceeds edge-subset budget {budget.max_union_edges}"
         )
     n, T = g.n, g.T
-    for t, frame_edges in enumerate(g.frames):
-        if component_count(n, frame_edges) != 1:
-            raise InfeasibleFrame(f"frame {t} is disconnected")
+    require_connected(g)
     if n == 1:
         return EdgeSolution(())
 
-    frame_sets = [set(fr) for fr in g.frames]
-    edge_frames = [
-        tuple(t for t in range(T) if union[i] in frame_sets[t]) for i in range(m)
-    ]
+    frames_of = list(edge_frames(g).values())
     # avail[t][i]: edges at index >= i usable by frame t; max_gain[i]: best
     # per-pick merge count in the suffix from i.
     avail = [[0] * (m + 1) for _ in range(T)]
     max_gain = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         for t in range(T):
-            avail[t][i] = avail[t][i + 1] + (t in edge_frames[i])
-        max_gain[i] = max(max_gain[i + 1], len(edge_frames[i]))
+            avail[t][i] = avail[t][i + 1] + (t in frames_of[i])
+        max_gain[i] = max(max_gain[i + 1], len(frames_of[i]))
 
     def search(k: int) -> list[int] | None:
         comps = [list(range(n)) for _ in range(T)]
@@ -189,7 +189,7 @@ def exact_mcss(g: TemporalGraph, budget: OracleBudget | None = None) -> EdgeSolu
                 return None
         for i in range(start, m - remaining + 1):
             u, v = union[i]
-            merge_frames = [t for t in edge_frames[i] if comps[t][u] != comps[t][v]]
+            merge_frames = [t for t in frames_of[i] if comps[t][u] != comps[t][v]]
             if not merge_frames:
                 continue
             new_comps = list(comps)

@@ -34,15 +34,13 @@ def mix64(z: int) -> int:
 class SplitMix64:
     """Scalar splitmix64 stream."""
 
-    __slots__ = ("_state", "_drawn")
+    __slots__ = ("_state",)
 
     def __init__(self, seed: int):
         self._state = seed & MASK64
-        self._drawn = 0
 
     def next_u64(self) -> int:
         self._state = (self._state + GOLDEN) & MASK64
-        self._drawn += 1
         return mix64(self._state)
 
     def next_below(self, bound: int) -> int:
@@ -103,5 +101,4 @@ def bernoulli_block(stream: SplitMix64, count: int, p: float) -> np.ndarray:
     base_state = stream._state
     block = stream_block(base_state, 0, count)
     stream._state = (base_state + count * GOLDEN) & MASK64
-    stream._drawn += count
     return (block >> np.uint64(11)) < np.uint64(_threshold(p))

@@ -32,45 +32,48 @@ Edge = tuple[int, int]
 class TemporalGraph:
     """Immutable sequence of frames over vertices 0..n-1.
 
-    Frames are stored as sorted tuples of normalized edges (u < v), with a
-    per-frame adjacency index built at construction.  The union edge set
-    is computed lazily.  Instances never mutate after ``__init__``, so all
-    reads are safe under concurrent use.
+    Frames are stored as sorted tuples of normalized edges (u < v).  The
+    per-frame adjacency index and the union edge set are derived views,
+    computed on first use and cached.  The frames never change after
+    construction, so a concurrent first use can only compute the same
+    value twice.
     """
 
     __slots__ = ("n", "frames", "_adj", "_union")
 
     def __init__(self, n: int, frames: Iterable[Iterable[Edge]]):
+        frames = tuple(frames)
+        self._build(n, len(frames), (
+            (0, t, u, v) for t, frame in enumerate(frames) for u, v in frame
+        ))
+
+    def _build(self, n: int, t_count: int,
+               records: Iterable[tuple[int, int, int, int]]) -> None:
+        """Validate (line, t, u, v) edge records and store the frames.
+
+        The one edge check on every path into a graph; ``line`` is the
+        1-based source line named in errors, 0 for constructed graphs.
+        """
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
-        normalized: list[tuple[Edge, ...]] = []
-        for t, frame in enumerate(frames):
-            seen: set[Edge] = set()
-            for u, v in frame:
-                if u == v:
-                    raise SelfLoop(f"self-loop at vertex {u} in frame {t}", line=0)
-                if not (0 <= u < n and 0 <= v < n):
-                    raise EdgeOutOfRange(
-                        f"edge ({u}, {v}) outside vertex range [0, {n}) in frame {t}",
-                        line=0,
-                    )
-                e = (u, v) if u < v else (v, u)
-                if e in seen:
-                    raise DuplicateEdge(f"duplicate edge {e} in frame {t}", line=0)
-                seen.add(e)
-            normalized.append(tuple(sorted(seen)))
-        if not normalized:
+        if t_count < 1:
             raise ValueError("at least one frame is required")
+        seen: list[set[Edge]] = [set() for _ in range(t_count)]
+        for line, t, u, v in records:
+            if not (0 <= u < n and 0 <= v < n):
+                raise EdgeOutOfRange(
+                    f"edge ({u}, {v}) outside vertex range [0, {n}) in frame {t}",
+                    line=line,
+                )
+            if u == v:
+                raise SelfLoop(f"self-loop at vertex {u} in frame {t}", line=line)
+            e = (u, v) if u < v else (v, u)
+            if e in seen[t]:
+                raise DuplicateEdge(f"duplicate edge {e} in frame {t}", line=line)
+            seen[t].add(e)
         self.n = n
-        self.frames = tuple(normalized)
-        adj: list[tuple[frozenset[int], ...]] = []
-        for frame_edges in self.frames:
-            nbrs: list[set[int]] = [set() for _ in range(n)]
-            for u, v in frame_edges:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-            adj.append(tuple(frozenset(s) for s in nbrs))
-        self._adj = tuple(adj)
+        self.frames = tuple(tuple(sorted(edges)) for edges in seen)
+        self._adj: tuple[tuple[frozenset[int], ...], ...] | None = None
         self._union: tuple[Edge, ...] | None = None
 
     @property
@@ -88,12 +91,18 @@ class TemporalGraph:
         return self._union
 
     def adjacency(self, t: int) -> tuple[frozenset[int], ...]:
-        """Neighbor sets of frame t, indexed by vertex."""
+        """Neighbor sets of frame t, indexed by vertex (built once, then cached)."""
         self._check_frame(t)
+        if self._adj is None:
+            adj = []
+            for frame_edges in self.frames:
+                nbrs: list[set[int]] = [set() for _ in range(self.n)]
+                for u, v in frame_edges:
+                    nbrs[u].add(v)
+                    nbrs[v].add(u)
+                adj.append(tuple(frozenset(s) for s in nbrs))
+            self._adj = tuple(adj)
         return self._adj[t]
-
-    def degree(self, t: int, v: int) -> int:
-        return len(self.adjacency(t)[v])
 
     def max_degree(self, t: int) -> int:
         return max((len(s) for s in self.adjacency(t)), default=0)
@@ -172,15 +181,18 @@ def induced_stats(g: TemporalGraph, t: int, s: VertexSet | Iterable[int]) -> Fra
     check_members(g, s)
     if not s.members:
         raise ValueError("vertex set must be nonempty")
-    degs = induced_degrees(g, t, s.members)
+    degs = induced_degrees(g, t, s.members, set(s.members))
     return FrameStats(edge_count=sum(degs) // 2, min_degree=min(degs))
 
 
-def induced_degrees(g: TemporalGraph, t: int, members: tuple[int, ...]) -> list[int]:
-    """Degrees of each member inside the induced subgraph of frame t."""
+def induced_degrees(g: TemporalGraph, t: int, vertices: Iterable[int],
+                    inside: set[int] | frozenset[int]) -> list[int]:
+    """Number of frame-t neighbors in `inside` of each of `vertices`, in order.
+
+    With vertices = inside these are the degrees of the induced subgraph.
+    """
     adj = g.adjacency(t)
-    inside = set(members)
-    return [len(adj[v] & inside) for v in members]
+    return [len(adj[v] & inside) for v in vertices]
 
 
 def parse(text: str | bytes) -> TemporalGraph:
@@ -191,59 +203,52 @@ def parse(text: str | bytes) -> TemporalGraph:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    header: tuple[int, int] | None = None
-    frames: list[set[Edge]] = []
-    n = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise MalformedHeader(
-                    f"expected '<n> <T>', got {raw!r}", line=lineno
-                )
-            try:
-                n, t_count = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise MalformedHeader(
-                    f"non-integer header fields in {raw!r}", line=lineno
-                ) from None
-            if n < 1 or t_count < 1:
-                raise MalformedHeader(
-                    f"need n >= 1 and T >= 1, got n={n}, T={t_count}", line=lineno
-                )
-            header = (n, t_count)
-            frames = [set() for _ in range(t_count)]
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        fields = raw.split()
+        if fields and not fields[0].startswith("#"):
+            break
+    else:
+        raise MalformedHeader("empty input", line=1)
+    if len(fields) != 2:
+        raise MalformedHeader(f"expected '<n> <T>', got {raw!r}", line=lineno)
+    try:
+        n, t_count = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise MalformedHeader(
+            f"non-integer header fields in {raw!r}", line=lineno
+        ) from None
+    if n < 1 or t_count < 1:
+        raise MalformedHeader(
+            f"need n >= 1 and T >= 1, got n={n}, T={t_count}", line=lineno
+        )
+    g = TemporalGraph.__new__(TemporalGraph)
+    g._build(n, t_count, _edge_records(lines, t_count))
+    return g
+
+
+def _edge_records(lines: Iterator[tuple[int, str]],
+                  t_count: int) -> Iterator[tuple[int, int, int, int]]:
+    """(line, t, u, v) for each edge line; checks syntax and frame index only."""
+    for lineno, raw in lines:
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
         if len(fields) != 3:
             raise MalformedEdgeLine(
                 f"expected '<t> <u> <v>', got {raw!r}", line=lineno
             )
         try:
-            t, u, v = (int(f) for f in fields)
+            t, u, v = map(int, fields)
         except ValueError:
             raise MalformedEdgeLine(
                 f"non-integer edge fields in {raw!r}", line=lineno
             ) from None
-        if not (0 <= t < header[1]):
+        if not (0 <= t < t_count):
             raise EdgeOutOfRange(
-                f"frame index {t} not in [0, {header[1]})", line=lineno
+                f"frame index {t} not in [0, {t_count})", line=lineno
             )
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeOutOfRange(
-                f"edge ({u}, {v}) outside vertex range [0, {n})", line=lineno
-            )
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}", line=lineno)
-        e = (u, v) if u < v else (v, u)
-        if e in frames[t]:
-            raise DuplicateEdge(f"duplicate edge {e} in frame {t}", line=lineno)
-        frames[t].add(e)
-    if header is None:
-        raise MalformedHeader("empty input", line=1)
-    return TemporalGraph(header[0], frames)
+        yield lineno, t, u, v
 
 
 def serialize(g: TemporalGraph) -> str:

@@ -110,6 +110,16 @@ def test_gen_every_generator(tmp_path):
     assert rep["names_out"].endswith(".names")
 
 
+def test_gen_mis_tiny_random_input(tmp_path):
+    out = str(tmp_path / "m.dcs")
+    # a single vertex is a complete graph, so the reduction refuses it
+    code, _, err = invoke("gen", "mis", "--n", "1", "--out", out)
+    assert code == EXIT_INVALID and "input graph is complete" in err
+    # --n 0 is an explicit, invalid size, not a missing flag
+    code, _, err = invoke("gen", "mis", "--n", "0", "--out", out)
+    assert code == EXIT_INVALID and "vertex count" in err
+
+
 def test_bench(tiny_path):
     code, report, _ = invoke("bench", "--in", tiny_path)
     assert code == EXIT_OK

@@ -14,7 +14,6 @@ from dcs import (
     MA,
     MM,
     ObjectiveKind,
-    frame_densities,
     parse,
     score,
 )
@@ -44,16 +43,16 @@ def test_per_frame_entries():
 
 
 def test_frame_densities_examples():
-    assert frame_densities(TINY, [0, 1, 2]) == [Fraction(1, 3), Fraction(2, 3)]
-    assert frame_densities(TINY, [0, 1]) == [Fraction(1, 2), Fraction(1, 2)]
-    assert frame_densities(TINY, [2]) == [Fraction(0), Fraction(0)]
+    # the per-frame densities |E_t[S]| / |S| are the MA score's entries
+    assert score(TINY, [0, 1, 2], MA).per_frame == (Fraction(1, 3), Fraction(2, 3))
+    assert score(TINY, [0, 1], MA).per_frame == (Fraction(1, 2), Fraction(1, 2))
+    assert score(TINY, [2], MA).per_frame == (Fraction(0), Fraction(0))
 
 
 def test_empty_solution_rejected():
-    with pytest.raises(EmptySolution):
-        score(TINY, [], MA)
-    with pytest.raises(EmptySolution):
-        frame_densities(TINY, [])
+    for kind in (MM, MA, AM, AA, KMA(1)):
+        with pytest.raises(EmptySolution):
+            score(TINY, [], kind)
 
 
 def test_kma_order_validation():
@@ -105,7 +104,7 @@ def test_aa_is_twice_the_density_sum():
         n = rng.randint(2, 9)
         g = random_temporal(rng, n, rng.randint(1, 4))
         members = rng.sample(range(n), rng.randint(1, n))
-        assert score(g, members, AA).value == 2 * sum(frame_densities(g, members))
+        assert score(g, members, AA).value == 2 * sum(score(g, members, MA).per_frame)
 
 
 def test_am_at_least_t_times_mm():

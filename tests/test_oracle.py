@@ -104,6 +104,13 @@ def test_exact_best_budget():
         exact_best(g, MA, OracleBudget(max_vertices=4))
 
 
+def test_exact_best_refuses_oversized_tables_before_allocating():
+    # within the vertex budget, but 2^30 masks would need 16 GiB of tables
+    g = TemporalGraph(30, [[(0, 1)]])
+    with pytest.raises(BudgetExceeded, match="bytes"):
+        exact_best(g, MA, OracleBudget(max_vertices=40))
+
+
 def test_exact_mcss_examples():
     tri = TemporalGraph(3, [[(0, 1), (0, 2), (1, 2)], [(0, 1), (1, 2)]])
     assert exact_mcss(tri).edges == ((0, 1), (1, 2))

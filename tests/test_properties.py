@@ -1,0 +1,105 @@
+"""Property-based checks of the graph core against naive references."""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dcs import (
+    AA,
+    AM,
+    KMA,
+    MA,
+    MM,
+    EdgeOutOfRange,
+    EdgeSolution,
+    ParseError,
+    TemporalGraph,
+    check_spanning,
+    parse,
+    potential,
+    score,
+    serialize,
+)
+from helpers import naive_value
+
+# Seeded and database-free, so every run draws the same examples.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@st.composite
+def graphs(draw, max_n=7, max_t=3):
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    frames = []
+    for _ in range(draw(st.integers(1, max_t))):
+        edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        # either orientation is accepted and normalized
+        frames.append([(v, u) if draw(st.booleans()) else (u, v) for u, v in edges])
+    return TemporalGraph(n, frames)
+
+
+@PROPERTY
+@given(st.data())
+def test_score_matches_naive_value(data):
+    g = data.draw(graphs())
+    members = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    k = data.draw(st.integers(1, g.T))
+    for kind in (MM, MA, AM, AA, KMA(k)):
+        expect = naive_value(g, members, kind.name, kind.k)
+        assert score(g, members, kind).value == expect
+
+
+@PROPERTY
+@given(graphs())
+def test_parse_serialize_round_trip(g):
+    text = serialize(g)
+    assert parse(text) == g
+    assert serialize(parse(text)) == text
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ParseError as exc:
+        return exc
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 4),
+    frames=st.lists(
+        st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 5)), max_size=4),
+        min_size=1, max_size=3,
+    ),
+)
+@example(n=3, frames=[[(5, 5)]])  # out of range wins over self-loop
+def test_parse_and_constructor_agree_on_bad_edges(n, frames):
+    records = [(t, u, v) for t, frame in enumerate(frames) for u, v in frame]
+    text = f"{n} {len(frames)}\n" + "".join(f"{t} {u} {v}\n" for t, u, v in records)
+    built = _outcome(lambda: TemporalGraph(n, frames))
+    parsed = _outcome(lambda: parse(text))
+    assert type(built) is type(parsed)
+    if isinstance(built, ParseError):
+        assert built.line == 0
+        # the first bad record is the first bad line after the header
+        assert str(parsed) == str(built).replace("line 0", f"line {parsed.line}", 1)
+    else:
+        assert built == parsed
+
+
+def test_out_of_range_is_checked_before_self_loop():
+    with pytest.raises(EdgeOutOfRange):
+        TemporalGraph(3, [[(5, 5)]])
+    with pytest.raises(EdgeOutOfRange):
+        parse("3 1\n0 5 5\n")
+
+
+@PROPERTY
+@given(st.data())
+def test_check_spanning_is_zero_potential(data):
+    g = data.draw(graphs())
+    chosen = data.draw(st.sets(st.sampled_from(g.union_edges))) if g.union_edges else set()
+    f = EdgeSolution(chosen)
+    assert check_spanning(g, f) == (potential(g, f) == 0)

@@ -132,6 +132,13 @@ def test_induced_stats_on_full_vertex_set():
             assert stats.min_degree == min(len(g.adjacency(t)[v]) for v in range(n))
 
 
+def test_adjacency_built_on_first_use():
+    g = parse(TINY)
+    assert g._adj is None
+    assert g.adjacency(1) == (frozenset({1}), frozenset({0, 2}), frozenset({1}))
+    assert g.adjacency(1) is g.adjacency(1)
+
+
 def test_union_edges():
     g = parse(TINY)
     assert g.union_edges == ((0, 1), (1, 2))
