@@ -11,16 +11,33 @@ Vector enumeration is lexicographic with two sound prunings that never
 change the result: once a vector's core is empty every componentwise
 larger vector is skipped (a frontier of minimal empty vectors is kept),
 and branches that cannot strictly beat the incumbent sum are cut.
+
+Every peel starts from a core that already contains its answer, together
+with that core's exact per-frame degrees, so no peel recomputes degrees:
+
+* a child: below the nonempty core C of (prefix, 0, ...), where prefix
+  fixes frames 0..t-1, the first candidate for frame t is peeled from C,
+  starting from C's exact degrees;
+* a sibling: each later candidate (prefix, k, 0, ...) is peeled from the
+  previous candidate's core, the core of (prefix, k_prev, 0, ...) with
+  k_prev < k, since core(prefix, k) is a subset of core(prefix, k_prev).
+
+Either start set meets every threshold except frame t's, so only frame t
+is scanned for the first violators.  Peeling decrements degrees in every
+frame as vertices go (Batagelj and Zaversnik's O(m) core update), which
+keeps the degrees handed on exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import BudgetExceeded
-from .temporal import TemporalGraph, VertexSet, induced_degrees
+from .temporal import TemporalGraph, VertexSet
 
 CoreVector = tuple[int, ...]
+Degrees = list[list[int]]  # deg[t][v]: frame-t degree of v inside a vertex set
 
 
 def _validate_vector(g: TemporalGraph, thresholds) -> CoreVector:
@@ -33,29 +50,44 @@ def _validate_vector(g: TemporalGraph, thresholds) -> CoreVector:
     return kv
 
 
-def _peel(g: TemporalGraph, kv: CoreVector, start: frozenset[int]) -> frozenset[int]:
-    """Maximal subset of `start` meeting all thresholds (classic peeling)."""
+def _full_degrees(g: TemporalGraph) -> Degrees:
+    return [[len(nbrs) for nbrs in g.adjacency(t)] for t in range(g.T)]
+
+
+def _peel(
+    g: TemporalGraph,
+    kv: CoreVector,
+    alive: frozenset[int],
+    deg: Degrees,
+    frames: Iterable[int],
+) -> tuple[frozenset[int], Degrees]:
+    """Maximal subset of `alive` meeting all thresholds, and its degrees.
+
+    deg[t][v] is the frame-t degree of v inside `alive`, for every v in
+    `alive`; only the frames in `frames` may hold a violator to begin with.
+    Degrees are decremented in every frame as vertices go, so the returned
+    ones are exact for the returned set (entries of removed vertices are
+    stale).  The arguments are never modified.
+    """
+    stack = [v for t in frames for v in alive if deg[t][v] < kv[t]]
+    if not stack:
+        return alive, deg
     adjs = [g.adjacency(t) for t in range(g.T)]
-    alive = set(start)
-    order = list(alive)
-    deg = [dict(zip(order, induced_degrees(g, t, order, alive))) for t in range(g.T)]
-    stack = [
-        v for v in alive if any(deg[t][v] < kv[t] for t in range(g.T))
-    ]
+    left = set(alive)
+    deg = [row[:] for row in deg]
     while stack:
         v = stack.pop()
-        if v not in alive:
+        if v not in left:
             continue
-        alive.remove(v)
+        left.remove(v)
         for t in range(g.T):
-            if kv[t] == 0:
-                continue
+            d, below = deg[t], kv[t] - 1
             for w in adjs[t][v]:
-                if w in alive:
-                    deg[t][w] -= 1
-                    if deg[t][w] == kv[t] - 1:
+                if w in left:
+                    d[w] -= 1
+                    if d[w] == below:
                         stack.append(w)
-    return frozenset(alive)
+    return frozenset(left), deg
 
 
 def core(g: TemporalGraph, thresholds) -> VertexSet:
@@ -65,7 +97,8 @@ def core(g: TemporalGraph, thresholds) -> VertexSet:
     never rejoin a core of any subset, so the maximal core is unique.
     """
     kv = _validate_vector(g, thresholds)
-    return VertexSet(_peel(g, kv, frozenset(range(g.n))))
+    alive, _ = _peel(g, kv, frozenset(range(g.n)), _full_degrees(g), range(g.T))
+    return VertexSet(alive)
 
 
 def _search(
@@ -98,7 +131,9 @@ def _search(
         ]
         empties.append(vec)
 
-    def descend(t: int, prefix: tuple[int, ...], alive: frozenset[int]) -> None:
+    def descend(
+        t: int, prefix: tuple[int, ...], alive: frozenset[int], deg: Degrees
+    ) -> None:
         nonlocal best_value, best_vec, best_core, visited
         if sum(prefix) + suffix_max[t] <= best_value:
             return
@@ -111,18 +146,19 @@ def _search(
                 raise BudgetExceeded(
                     f"threshold-vector search exceeded cap {max_vectors}"
                 )
-            shrunk = _peel(g, vec, alive)
-            if not shrunk:
+            # alive is the previous sibling's core, or the parent's core.
+            alive, deg = _peel(g, vec, alive, deg, (t,))
+            if not alive:
                 record_empty(vec)
                 break
             if t == t_count - 1:
                 value = sum(prefix) + k
                 if value > best_value:
-                    best_value, best_vec, best_core = value, vec, shrunk
+                    best_value, best_vec, best_core = value, vec, alive
             else:
-                descend(t + 1, prefix + (k,), shrunk)
+                descend(t + 1, prefix + (k,), alive, deg)
 
-    descend(0, (), frozenset(range(g.n)))
+    descend(0, (), frozenset(range(g.n)), _full_degrees(g))
     return VertexSet(best_core), best_value, best_vec
 
 

@@ -52,6 +52,18 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"budget must be a positive integer, got {text!r}"
+        )
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
@@ -123,8 +135,8 @@ def _build_parser() -> _Parser:
                      choices=["mm", "ma", "am", "aa", "kma", "mcss"])
     orc.add_argument("--in", dest="infile", required=True)
     orc.add_argument("--k", type=int, default=None, help="KMA order")
-    orc.add_argument("--budget-n", type=int, default=20)
-    orc.add_argument("--budget-edges", type=int, default=22)
+    orc.add_argument("--budget-n", type=_budget, default=20)
+    orc.add_argument("--budget-edges", type=_budget, default=22)
 
     lp_cmd = sub.add_parser("lp", help="LP relaxation tools")
     lp_sub = lp_cmd.add_subparsers(dest="lp_command", required=True)
@@ -135,7 +147,7 @@ def _build_parser() -> _Parser:
     l_chk.add_argument("--n", type=int, required=True)
     l_gap = lp_sub.add_parser("gap", help="LP value vs integral optimum")
     l_gap.add_argument("--n", type=int, required=True)
-    l_gap.add_argument("--budget-n", type=int, default=20)
+    l_gap.add_argument("--budget-n", type=_budget, default=20)
 
     ev = sub.add_parser("eval", help="score a given vertex set")
     ev.add_argument("--in", dest="infile", required=True)

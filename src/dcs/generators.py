@@ -247,7 +247,7 @@ def gen_planted_2frame(p: PlantedParams) -> TemporalGraph:
         sub = list(planted_subset(p))
         overlay_p = float(n) ** (-0.25 - float(p.eps))
         edges.update(_er_edges(substream(p.seed, 3), sub, overlay_p))
-    return TemporalGraph(n + u_size, [clique, sorted(edges)])
+    return TemporalGraph(n + u_size, [clique, edges])
 
 
 def sample_recursive_planted(rp: RecursiveParams) -> TemporalGraph:
@@ -258,7 +258,7 @@ def sample_recursive_planted(rp: RecursiveParams) -> TemporalGraph:
     Sub-streams: role 2*level = edges, role 2*level + 1 = subset choice.
     """
     edges = _recursive_edges(rp, 0, list(range(rp.nvec[0])))
-    return TemporalGraph(rp.nvec[0], [sorted(edges)])
+    return TemporalGraph(rp.nvec[0], [edges])
 
 
 def _recursive_edges(rp: RecursiveParams, level: int, vertices: list[int]) -> set[Edge]:

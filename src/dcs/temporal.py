@@ -15,6 +15,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -43,9 +44,7 @@ class TemporalGraph:
 
     def __init__(self, n: int, frames: Iterable[Iterable[Edge]]):
         frames = tuple(frames)
-        self._build(n, len(frames), (
-            (0, t, u, v) for t, frame in enumerate(frames) for u, v in frame
-        ))
+        self._build(n, len(frames), _constructed_records(frames))
 
     def _build(self, n: int, t_count: int,
                records: Iterable[tuple[int, int, int, int]]) -> None:
@@ -121,6 +120,21 @@ class TemporalGraph:
 
     def __repr__(self) -> str:
         return f"TemporalGraph(n={self.n}, T={self.T})"
+
+
+def _constructed_records(frames: tuple[Iterable[Edge], ...]
+                         ) -> Iterator[tuple[int, int, int, int]]:
+    """(0, t, u, v) for each constructor edge; labels must be integers."""
+    for t, frame in enumerate(frames):
+        for u, v in frame:
+            try:
+                a, b = index(u), index(v)
+            except TypeError:
+                raise MalformedEdgeLine(
+                    f"non-integer vertex label in edge ({u!r}, {v!r}) in frame {t}",
+                    line=0,
+                ) from None
+            yield 0, t, a, b
 
 
 class VertexSet:

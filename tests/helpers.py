@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from dcs import TemporalGraph, VertexSet
 
@@ -151,3 +151,17 @@ def naive_core(g: TemporalGraph, thresholds, rng: random.Random) -> frozenset[in
         if not violating:
             return frozenset(alive)
         alive.remove(rng.choice(violating))
+
+
+def naive_am_search(g: TemporalGraph, values_per_frame):
+    """Threshold search by plain enumeration, without pruning.
+
+    Returns (core, value, vector) for the first vector, in lexicographic
+    order, whose core is nonempty and whose sum is the largest.
+    """
+    best = None
+    for vec in product(*values_per_frame):
+        alive = naive_core(g, vec, random.Random(0))
+        if alive and (best is None or sum(vec) > best[1]):
+            best = (alive, sum(vec), vec)
+    return best

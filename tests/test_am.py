@@ -106,6 +106,15 @@ def test_exact_am_budget():
         exact_am(g, max_vectors=3)
 
 
+def test_exact_am_budget_boundary_pins_peel_count():
+    # The search peels exactly 101 threshold vectors on this instance.
+    g = random_temporal(random.Random(11), 10, 3, density=0.5)
+    solution, value = exact_am(g, max_vectors=101)
+    assert solution.members == (0, 1, 3, 4, 6, 9) and value == 8
+    with pytest.raises(BudgetExceeded):
+        exact_am(g, max_vectors=100)
+
+
 def test_fpt_examples():
     solution, value = fpt_approx_am(TINY, 1)
     assert value == 2 and solution.members == (0, 1)

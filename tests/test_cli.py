@@ -177,6 +177,18 @@ def test_exit_codes(tiny_path, tmp_path):
     assert code == EXIT_INVALID
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--objective", "am", "--budget-n", "0"),
+    ("oracle", "--objective", "mcss", "--budget-edges", "0"),
+    ("lp", "gap", "--n", "3", "--budget-n", "-1"),
+])
+def test_non_positive_budget_is_usage_error(tiny_path, argv):
+    if argv[0] == "oracle":
+        argv += ("--in", tiny_path)
+    code, _, err = invoke(*argv)
+    assert code == EXIT_USAGE and "budget must be a positive integer" in err
+
+
 def test_solve_out_writes_solution_files(tmp_path, tiny_path):
     vout = str(tmp_path / "sol.txt")
     code, _, _ = invoke("solve", "--alg", "composite-ma", "--in", tiny_path,

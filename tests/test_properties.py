@@ -1,5 +1,6 @@
 """Property-based checks of the graph core against naive references."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -17,12 +18,15 @@ from dcs import (
     ParseError,
     TemporalGraph,
     check_spanning,
+    exact_am,
+    fpt_approx_am,
     parse,
     potential,
     score,
     serialize,
+    threshold_grid,
 )
-from helpers import naive_value
+from helpers import naive_am_search, naive_value
 
 # Seeded and database-free, so every run draws the same examples.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -103,3 +107,21 @@ def test_check_spanning_is_zero_potential(data):
     chosen = data.draw(st.sets(st.sampled_from(g.union_edges))) if g.union_edges else set()
     f = EdgeSolution(chosen)
     assert check_spanning(g, f) == (potential(g, f) == 0)
+
+
+@PROPERTY
+@given(graphs(max_n=9, max_t=3))
+def test_am_search_matches_naive_lexicographic_search(g):
+    exact_values = [tuple(range(g.max_degree(t) + 1)) for t in range(g.T)]
+    want_core, want_value, _ = naive_am_search(g, exact_values)
+    solution, value = exact_am(g)
+    assert (frozenset(solution), value) == (want_core, want_value)
+    for eps in (Fraction(1, 2), Fraction(1)):
+        grid = threshold_grid(eps, g.n - 1)
+        values = [
+            tuple(k for k in grid if k <= g.max_degree(t)) or (0,)
+            for t in range(g.T)
+        ]
+        want_core, want_value, _ = naive_am_search(g, values)
+        solution, value = fpt_approx_am(g, eps)
+        assert (frozenset(solution), value) == (want_core, want_value)

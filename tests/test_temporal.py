@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from dcs import (
@@ -17,6 +18,7 @@ from dcs import (
     parse,
     serialize,
 )
+from dcs.errors import MalformedEdgeLine
 from helpers import naive_stats, random_temporal
 
 TINY = "3 2\n0 0 1\n1 0 1\n1 1 2\n"
@@ -95,6 +97,22 @@ def test_constructor_rejects_bad_edges():
         TemporalGraph(3, [[(0, 3)]])
     with pytest.raises(DuplicateEdge):
         TemporalGraph(3, [[(0, 1), (1, 0)]])
+
+
+def test_constructor_rejects_non_integer_labels():
+    with pytest.raises(MalformedEdgeLine, match=r"\(0\.0, 1\.0\)") as info:
+        TemporalGraph(3, [[(0.0, 1.0)]])
+    assert info.value.line == 0
+    with pytest.raises(MalformedEdgeLine):
+        TemporalGraph(3, [[(0, 1)], [("1", 2)]])
+
+
+def test_integer_like_labels_round_trip():
+    g = TemporalGraph(3, [[(True, np.int64(2))], [(np.int32(0), 2)]])
+    text = serialize(g)
+    assert text == "3 2\n0 1 2\n1 0 2\n"
+    assert parse(text) == g
+    assert all(type(x) is int for frame in g.frames for e in frame for x in e)
 
 
 def test_induced_stats_examples():
