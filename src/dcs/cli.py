@@ -52,16 +52,24 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
-def _budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"budget must be a positive integer, got {text!r}"
-        )
-    return value
+def _positive(noun: str, kind: str, convert):
+    """Argument type accepting only values > 0 of the given kind."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            value = 0
+        if value <= 0:
+            raise argparse.ArgumentTypeError(
+                f"{noun} must be a positive {kind}, got {text!r}"
+            )
+        return value
+    return parse
+
+
+_budget = _positive("budget", "integer", int)
+_eps = _positive("eps", "rational", Fraction)
+_k = _positive("k", "integer", int)
 
 
 def _int_list(text: str) -> list[int]:
@@ -125,7 +133,7 @@ def _build_parser() -> _Parser:
         "exact-am", "fpt-am", "mcss-greedy",
     ])
     solve.add_argument("--in", dest="infile", required=True)
-    solve.add_argument("--eps", type=_frac, default=Fraction(1, 2))
+    solve.add_argument("--eps", type=_eps, default=Fraction(1, 2))
     solve.add_argument("--out", default=None,
                        help="also write the solution ('u v' edge lines for "
                             "mcss-greedy, one vertex per line otherwise)")
@@ -134,7 +142,7 @@ def _build_parser() -> _Parser:
     orc.add_argument("--objective", required=True,
                      choices=["mm", "ma", "am", "aa", "kma", "mcss"])
     orc.add_argument("--in", dest="infile", required=True)
-    orc.add_argument("--k", type=int, default=None, help="KMA order")
+    orc.add_argument("--k", type=_k, default=None, help="KMA order")
     orc.add_argument("--budget-n", type=_budget, default=20)
     orc.add_argument("--budget-edges", type=_budget, default=22)
 
@@ -152,11 +160,11 @@ def _build_parser() -> _Parser:
     ev = sub.add_parser("eval", help="score a given vertex set")
     ev.add_argument("--in", dest="infile", required=True)
     ev.add_argument("--set", dest="vertex_set", type=_int_list, required=True)
-    ev.add_argument("--k", type=int, default=None, help="also score KMA(k)")
+    ev.add_argument("--k", type=_k, default=None, help="also score KMA(k)")
 
     bench = sub.add_parser("bench", help="time every applicable solver")
     bench.add_argument("--in", dest="infile", required=True)
-    bench.add_argument("--eps", type=_frac, default=Fraction(1, 2))
+    bench.add_argument("--eps", type=_eps, default=Fraction(1, 2))
 
     return parser
 

@@ -15,11 +15,12 @@ frames its value can exceed any integral solution by a near-linear factor:
 on the star-sequence family, the harmonic assignment certifies LP value
 1/(1 + H_{n-1}) while the best integral score is exactly 1/n.
 
-No solver is bundled; the module builds models, exports them in the
-CPLEX-LP text format for external solvers, and verifies candidate
-fractional solutions in exact rational arithmetic (a verified feasible
-value is a lower bound on the LP optimum, which is all the gap family
-needs).  x is indexed per union edge, shared across frames, matching the
+`build_lp` is the one definition of the relaxation: `export_lp` renders
+it in the CPLEX-LP text format for external solvers, and `check_feasible`
+evaluates its bounds and constraints on a candidate fractional solution
+in exact rational arithmetic (a verified feasible value is a lower bound
+on the LP optimum, which is all the gap family needs).  No solver is
+bundled.  x is indexed per union edge, shared across frames, matching the
 single-frame specialization.
 """
 
@@ -47,23 +48,21 @@ class FractionalSolution:
 @dataclass(frozen=True)
 class LPConstraint:
     name: str
-    terms: tuple[tuple[int, str], ...]   # (coefficient, variable)
+    terms: tuple[tuple[int, str], ...]   # (+1 or -1, variable); the first is +1
     sense: str                           # "<=" or "="
     rhs: int
 
 
 @dataclass(frozen=True)
 class LPModel:
-    """Variables in deterministic order, constraints, and a max-z objective."""
+    """Variables in deterministic order and constraints; the objective is max z."""
 
     variables: tuple[str, ...]
     constraints: tuple[LPConstraint, ...]
-    objective: str = "z"
 
 
 def edge_var(e: Edge) -> str:
-    u, v = (e if e[0] < e[1] else (e[1], e[0]))
-    return f"x_{u}_{v}"
+    return f"x_{e[0]}_{e[1]}"
 
 
 def build_lp(g: TemporalGraph) -> LPModel:
@@ -97,25 +96,17 @@ def build_lp(g: TemporalGraph) -> LPModel:
 def _render_terms(terms) -> str:
     parts = []
     for coef, name in terms:
-        if not parts:
-            parts.append(name if coef == 1 else f"- {name}" if coef == -1 else f"{coef} {name}")
-        elif coef == 1:
-            parts.append(f"+ {name}")
-        elif coef == -1:
-            parts.append(f"- {name}")
-        else:
-            parts.append(f"{'+' if coef > 0 else '-'} {abs(coef)} {name}")
+        parts.append(f"- {name}" if coef == -1 else f"+ {name}" if parts else name)
     return " ".join(parts)
 
 
 def export_lp(model: LPModel) -> str:
     """Deterministic CPLEX-LP text for the model."""
-    lines = ["Maximize", f" obj: {model.objective}", "Subject To"]
-    for c in model.constraints:
-        lines.append(f" {c.name}: {_render_terms(c.terms)} {c.sense} {c.rhs}")
+    lines = ["Maximize", " obj: z", "Subject To"]
+    lines += [f" {c.name}: {_render_terms(c.terms)} {c.sense} {c.rhs}"
+              for c in model.constraints]
     lines.append("Bounds")
-    for name in model.variables:
-        lines.append(f" 0 <= {name}")
+    lines += [f" 0 <= {name}" for name in model.variables]
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -123,36 +114,27 @@ def export_lp(model: LPModel) -> str:
 def check_feasible(
     g: TemporalGraph, f: FractionalSolution
 ) -> tuple[bool, Fraction, list[str]]:
-    """Verify every constraint exactly; returns (feasible, f.z, violations)."""
+    """Evaluate every constraint, then every bound, of build_lp(g) exactly.
+
+    Returns (feasible, f.z, violations), with one violation string per
+    failed constraint or bound in model order, led by its name.
+    """
     if set(f.y) != set(range(g.n)):
         raise DomainMismatch("y must assign exactly the graph's vertices")
     if set(f.x) != set(g.union_edges):
         raise DomainMismatch("x must assign exactly the union edges")
-    y = {v: Fraction(val) for v, val in f.y.items()}
-    x = {e: Fraction(val) for e, val in f.x.items()}
-    z = Fraction(f.z)
+    value = {f"y{v}": Fraction(val) for v, val in f.y.items()}
+    value.update((edge_var(e), Fraction(val)) for e, val in f.x.items())
+    value["z"] = Fraction(f.z)
+    model = build_lp(g)
     violations: list[str] = []
-    total = sum(y.values(), Fraction(0))
-    if total != 1:
-        violations.append(f"normalize: sum(y) = {total} != 1")
-    for v in range(g.n):
-        if y[v] < 0:
-            violations.append(f"y{v}_nonneg: {y[v]} < 0")
-    for (u, v), val in sorted(x.items()):
-        name = edge_var((u, v))
-        if val < 0:
-            violations.append(f"{name}_nonneg: {val} < 0")
-        if val > y[u]:
-            violations.append(f"{name}_le_y{u}: {val} > {y[u]}")
-        if val > y[v]:
-            violations.append(f"{name}_le_y{v}: {val} > {y[v]}")
-    if z < 0:
-        violations.append(f"z_nonneg: {z} < 0")
-    for t in range(g.T):
-        mass = sum((x[e] for e in g.frames[t]), Fraction(0))
-        if z > mass:
-            violations.append(f"frame_{t}: z = {z} > {mass} = frame edge mass")
-    return not violations, z, violations
+    for c in model.constraints:
+        lhs = sum((coef * value[name] for coef, name in c.terms), Fraction(0))
+        if lhs > c.rhs or (c.sense == "=" and lhs < c.rhs):
+            violations.append(f"{c.name}: {lhs} {'>' if lhs > c.rhs else '<'} {c.rhs}")
+    violations += [f"{name}_nonneg: {value[name]} < 0"
+                   for name in model.variables if value[name] < 0]
+    return not violations, value["z"], violations
 
 
 def harmonic_number(k: int) -> Fraction:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
@@ -46,8 +46,7 @@ class SolveReport:
 
 def _report(g: TemporalGraph, algorithm: str, members: Iterable[int], t0: float,
             trace: tuple[int, ...] | None = None,
-            zero_score: bool = False,
-            candidate_scores: dict[str, Fraction] | None = None) -> SolveReport:
+            zero_score: bool = False) -> SolveReport:
     solution = VertexSet(members)
     return SolveReport(
         algorithm=algorithm,
@@ -56,8 +55,23 @@ def _report(g: TemporalGraph, algorithm: str, members: Iterable[int], t0: float,
         frames_covered_per_iteration=trace,
         wall_time=time.perf_counter() - t0,
         zero_score=zero_score,
-        candidate_scores=candidate_scores or {},
     )
+
+
+def _best_of(algorithm: str, runs: list[SolveReport], t0: float) -> SolveReport:
+    """The first run with the highest score, relabelled, with every run's score."""
+    best = max(runs, key=lambda run: run.score.value)
+    return replace(
+        best,
+        algorithm=algorithm,
+        wall_time=time.perf_counter() - t0,
+        candidate_scores={run.algorithm: run.score.value for run in runs},
+    )
+
+
+def _all_vertices(g: TemporalGraph) -> SolveReport:
+    return _report(g, "all-vertices", range(g.n), time.perf_counter(),
+                   zero_score=_has_edgeless_frame(g))
 
 
 def _has_edgeless_frame(g: TemporalGraph) -> bool:
@@ -120,22 +134,7 @@ def greedy_cover(g: TemporalGraph) -> SolveReport:
 def best_with_all(g: TemporalGraph) -> SolveReport:
     """Better of the all-vertices baseline and the greedy cover; ties keep V."""
     t0 = time.perf_counter()
-    everything = VertexSet(range(g.n))
-    all_score = score(g, everything, MA)
-    greedy = greedy_cover(g)
-    candidates = {
-        "all-vertices": all_score.value,
-        "greedy-cover": greedy.score.value,
-    }
-    if all_score.value >= greedy.score.value:
-        return _report(
-            g, "best-with-all", everything, t0,
-            zero_score=greedy.zero_score, candidate_scores=candidates,
-        )
-    return _report(
-        g, "best-with-all", greedy.solution, t0,
-        trace=greedy.frames_covered_per_iteration, candidate_scores=candidates,
-    )
+    return _best_of("best-with-all", [_all_vertices(g), greedy_cover(g)], t0)
 
 
 def _int_log(base: int, value: int) -> int:
@@ -205,20 +204,5 @@ def composite_ma(g: TemporalGraph) -> SolveReport:
     for reporting.  Ties keep the earliest candidate in the order above.
     """
     t0 = time.perf_counter()
-    runs = [greedy_cover(g), subset_search(g), partition_search(g)]
-    everything = VertexSet(range(g.n))
-    all_value = score(g, everything, MA).value
-    candidates = {run.algorithm: run.score.value for run in runs}
-    candidates["all-vertices"] = all_value
-    best = runs[0]
-    for run in runs[1:]:
-        if run.score.value > best.score.value:
-            best = run
-    if all_value > best.score.value:
-        return _report(g, "composite-ma", everything, t0, candidate_scores=candidates)
-    return _report(
-        g, "composite-ma", best.solution, t0,
-        trace=best.frames_covered_per_iteration,
-        zero_score=best.zero_score,
-        candidate_scores=candidates,
-    )
+    runs = [greedy_cover(g), subset_search(g), partition_search(g), _all_vertices(g)]
+    return _best_of("composite-ma", runs, t0)

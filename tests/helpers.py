@@ -165,3 +165,21 @@ def naive_am_search(g: TemporalGraph, values_per_frame):
         if alive and (best is None or sum(vec) > best[1]):
             best = (alive, sum(vec), vec)
     return best
+
+
+def naive_lp_check(g: TemporalGraph, f) -> bool:
+    """Feasibility of (y, x, z) in the density LP, each bound and constraint
+    written out by hand."""
+    y = {v: Fraction(val) for v, val in f.y.items()}
+    x = {e: Fraction(val) for e, val in f.x.items()}
+    z = Fraction(f.z)
+    if sum(y.values(), Fraction(0)) != 1 or z < 0:
+        return False
+    if any(y[v] < 0 for v in range(g.n)):
+        return False
+    for (u, v), val in x.items():
+        if val < 0 or val > y[u] or val > y[v]:
+            return False
+    return all(
+        z <= sum((x[e] for e in g.frames[t]), Fraction(0)) for t in range(g.T)
+    )

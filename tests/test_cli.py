@@ -177,16 +177,41 @@ def test_exit_codes(tiny_path, tmp_path):
     assert code == EXIT_INVALID
 
 
+POSITIVE_MESSAGES = {
+    "--budget-n": "budget must be a positive integer",
+    "--budget-edges": "budget must be a positive integer",
+    "--eps": "eps must be a positive rational",
+    "--k": "k must be a positive integer",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("oracle", "--objective", "am", "--budget-n", "0"),
     ("oracle", "--objective", "mcss", "--budget-edges", "0"),
     ("lp", "gap", "--n", "3", "--budget-n", "-1"),
+    ("solve", "--alg", "fpt-am", "--eps", "0"),
+    ("solve", "--alg", "fpt-am", "--eps", "-1"),
+    ("solve", "--alg", "greedy-ma", "--eps", "0"),
+    ("bench", "--eps", "0"),
+    ("eval", "--set", "0,1", "--k", "0"),
+    ("oracle", "--objective", "kma", "--k", "0"),
 ])
-def test_non_positive_budget_is_usage_error(tiny_path, argv):
-    if argv[0] == "oracle":
-        argv += ("--in", tiny_path)
+def test_non_positive_budget_is_usage_error(tiny_path, tmp_path, argv):
+    # budgets, --eps and --k are checked while parsing, so an --eps or --k
+    # case given a missing file still exits 1, not 2
+    flag = argv[-2]
+    if argv[0] != "lp":
+        missing = str(tmp_path / "missing.dcs")
+        argv += ("--in", tiny_path if flag.startswith("--budget") else missing)
     code, _, err = invoke(*argv)
-    assert code == EXIT_USAGE and "budget must be a positive integer" in err
+    assert code == EXIT_USAGE and POSITIVE_MESSAGES[flag] in err
+
+
+def test_k_above_frame_count_is_invalid_instance(tiny_path):
+    code, _, err = invoke("eval", "--in", tiny_path, "--set", "0,1", "--k", "3")
+    assert code == EXIT_INVALID and "invalid instance" in err
+    code, _, err = invoke("oracle", "--objective", "kma", "--k", "3", "--in", tiny_path)
+    assert code == EXIT_INVALID and "invalid instance" in err
 
 
 def test_solve_out_writes_solution_files(tmp_path, tiny_path):

@@ -81,6 +81,21 @@ def test_best_with_all_prefers_v_on_dense_frame():
     assert rep.score.value == Fraction(3, 2)
 
 
+def test_best_with_all_tie_keeps_v_without_trace():
+    rep = best_with_all(TemporalGraph(2, [[(0, 1)]]))
+    assert rep.solution.members == (0, 1)
+    assert rep.frames_covered_per_iteration is None
+    assert rep.candidate_scores == {
+        "all-vertices": Fraction(1, 2), "greedy-cover": Fraction(1, 2)
+    }
+
+
+def test_best_with_all_carries_greedy_trace():
+    rep = best_with_all(TINY)
+    assert rep.solution == greedy_cover(TINY).solution
+    assert rep.frames_covered_per_iteration == (2,)
+
+
 def test_best_with_all_edgeless():
     g = TemporalGraph(3, [[], [(0, 1)]])
     rep = best_with_all(g)
@@ -149,6 +164,12 @@ def test_composite_candidate_scores_include_baseline():
     rep = composite_ma(TINY)
     assert rep.candidate_scores["all-vertices"] == Fraction(1, 3)
     assert rep.candidate_scores["greedy-cover"] == Fraction(1, 2)
+    assert list(rep.candidate_scores) == [
+        "greedy-cover", "subset-search", "partition-search", "all-vertices"
+    ]
+    scores = rep.candidate_scores
+    assert scores["partition-search"] >= scores["all-vertices"]
+    assert rep.score.value == max(scores.values())
 
 
 def test_reports_reverify_scores():

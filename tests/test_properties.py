@@ -15,8 +15,11 @@ from dcs import (
     MM,
     EdgeOutOfRange,
     EdgeSolution,
+    FractionalSolution,
     ParseError,
     TemporalGraph,
+    build_lp,
+    check_feasible,
     check_spanning,
     exact_am,
     fpt_approx_am,
@@ -26,7 +29,7 @@ from dcs import (
     serialize,
     threshold_grid,
 )
-from helpers import naive_am_search, naive_value
+from helpers import naive_am_search, naive_lp_check, naive_value
 
 # Seeded and database-free, so every run draws the same examples.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -125,3 +128,35 @@ def test_am_search_matches_naive_lexicographic_search(g):
         want_core, want_value, _ = naive_am_search(g, values)
         solution, value = fpt_approx_am(g, eps)
         assert (frozenset(solution), value) == (want_core, want_value)
+
+
+# small nudges up and down, or none, so drawn points land on both sides of
+# the constraints that are tight at the uniform point
+NUDGES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(Fraction(-1, 4), Fraction(1, 4), max_denominator=12),
+)
+
+
+@PROPERTY
+@given(st.data())
+def test_check_feasible_matches_naive_lp_check(data):
+    g = data.draw(graphs(max_n=6, max_t=3))
+    uniform = Fraction(1, g.n)
+    z = min(len(frame) for frame in g.frames) * uniform
+
+    def nudged(base):
+        return base + data.draw(NUDGES) if data.draw(st.booleans()) else base
+
+    f = FractionalSolution(
+        y={v: nudged(uniform) for v in range(g.n)},
+        x={e: nudged(uniform) for e in g.union_edges},
+        z=nudged(z),
+    )
+    feasible, value, violations = check_feasible(g, f)
+    assert feasible == naive_lp_check(g, f) == (not violations)
+    assert value == f.z
+    model = build_lp(g)
+    names = {c.name for c in model.constraints}
+    names |= {f"{var}_nonneg" for var in model.variables}
+    assert all(v.split(":")[0] in names for v in violations)
