@@ -169,6 +169,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _flag_values(check, *args, **kwargs):
+    """Call a library check or constructor on flag values alone; its
+    ValueError is a usage error, not an invalid instance."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _digest(g: temporal.TemporalGraph) -> str:
     return hashlib.sha256(temporal.serialize(g).encode()).hexdigest()
 
@@ -212,6 +221,7 @@ def _write_names(path: str, names: dict[int, str]) -> None:
 def _run_gen(args) -> dict:
     names: dict[int, str] | None = None
     if args.generator == "gap":
+        _flag_values(generators.check_gap_size, args.n)
         g = generators.gen_gap_instance(args.n)
     elif args.generator == "minrep":
         mr = generators.random_minrep(args.parts, args.part_size, args.edge_prob, args.seed)
@@ -228,8 +238,9 @@ def _run_gen(args) -> dict:
             raise _UsageError("gen mis needs --in or --n")
         g = generators.reduce_mis_to_am(base)
     elif args.generator == "planted":
-        params = generators.PlantedParams(
-            n=args.n, eps=args.eps, planted=args.planted, seed=args.seed
+        params = _flag_values(
+            generators.PlantedParams,
+            n=args.n, eps=args.eps, planted=args.planted, seed=args.seed,
         )
         g = generators.gen_planted_2frame(params)
     elif args.generator == "recursive":
@@ -357,6 +368,7 @@ def _run_lp(args) -> dict:
                 "digest": hashlib.sha256(text.encode()).hexdigest(),
             },
         }
+    _flag_values(generators.check_gap_size, args.n)
     if args.lp_command == "check":
         g, f = lp.harmonic_solution(args.n)
         feasible, value, violations = lp.check_feasible(g, f)

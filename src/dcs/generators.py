@@ -166,14 +166,19 @@ def _er_edges(stream: SplitMix64, vertices: Sequence[int], p: float) -> list[Edg
     return [(vertices[int(i)], vertices[int(j)]) for i, j in zip(rows, cols)]
 
 
+def check_gap_size(n: int) -> None:
+    """The gap family needs at least two vertices; raises ValueError otherwise."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+
+
 def gen_gap_instance(n: int) -> TemporalGraph:
     """Star sequence with T = n-1 frames; frame k is a k-edge star at vertex k.
 
     Every vertex centers a star in some frame, so any integral solution
     missing a vertex scores zero, while the full set scores exactly 1/n.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    check_gap_size(n)
     frames = [[(i, k) for i in range(k)] for k in range(1, n)]
     return TemporalGraph(n, frames)
 

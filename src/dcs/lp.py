@@ -148,8 +148,6 @@ def harmonic_solution(n: int) -> tuple[TemporalGraph, FractionalSolution]:
     y = h / i; each edge carries the smaller endpoint mass, so every frame's
     edges sum to exactly h and z = h is feasible (tight on every frame).
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     g = gen_gap_instance(n)
     h = 1 / (1 + harmonic_number(n - 1))
     y = {0: h}

@@ -3,8 +3,11 @@
 Subset enumeration is the whole point here: these solvers try every
 candidate (vertex subsets, edge subsets, cover subsets) and therefore stay
 independent of the approximation algorithms they validate.  Vertex-subset
-scoring is vectorized with numpy bit tricks so instances up to the budget
-caps finish quickly, but the semantics are plain exhaustive search.
+scoring is one exact integer kernel: each frame keeps a neighbour bitmask
+per vertex, and a member's induced degree in subset mask S is
+popcount(S & nbr[v]), taken over a whole chunk of masks at once with numpy.
+Instances up to the budget caps finish quickly, but the semantics are
+plain exhaustive search.
 
 Tie-breaking is fully deterministic: among optimal vertex sets, the
 smallest, then lexicographically smallest member list wins; the edge-subset
@@ -25,6 +28,7 @@ from .mcss import EdgeSolution, edge_frames, require_connected
 from .objectives import ObjectiveKind, Score, score
 from .temporal import TemporalGraph, VertexSet
 
+# masks per chunk; a power of two, so every chunk is an aligned power-of-two range
 _CHUNK = 1 << 16
 # exact_best keeps two int64 entries (16 bytes) per subset mask; refuse past this.
 _MAX_TABLE_BYTES = 1 << 30
@@ -42,27 +46,52 @@ class OracleBudget:
             raise ValueError("budget caps must be positive")
 
 
-def _chunk_tables(adj_mats, n, lo, hi, need_mindeg, need_edges):
+def _neighbour_masks(frame, n: int) -> list[int]:
+    """nbr[v]: bitmask of v's neighbours in one frame's edge list."""
+    nbr = [0] * n
+    for u, v in frame:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
+def _chunk_tables(nbrs, n, lo, hi, need_mindeg):
     """Per-frame induced stats for all subset masks in [lo, hi).
 
-    Returns (sizes, mindegs, edges): sizes per mask, then per frame the
-    minimum induced degree and the induced edge count.  Uses a 0/1 matmul,
-    exact in float64 at these sizes.
+    Returns (sizes, stats): sizes per mask, then per frame the minimum
+    induced degree (need_mindeg) or the induced edge count.  A member v's
+    induced degree is popcount(mask & nbr[v]), exact integer arithmetic.
+    The range is a power of two long and starts at a multiple of its
+    length, so the masks holding v are every other run of 2^v masks, or
+    the whole range, or none of it.
     """
+    size = hi - lo
     masks = np.arange(lo, hi, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1).astype(
-        np.float64
-    )
-    sizes = bits.sum(axis=1).astype(np.int64)
-    mindegs, edges = [], []
-    for adj in adj_mats:
-        deg = bits @ adj
-        if need_edges:
-            edges.append(((bits * deg).sum(axis=1) / 2).astype(np.int64))
-        if need_mindeg:
-            masked = np.where(bits > 0, deg, np.inf).min(axis=1)
-            mindegs.append(np.where(np.isfinite(masked), masked, 0).astype(np.int64))
-    return sizes, mindegs, edges
+    sizes = np.bitwise_count(masks)
+    stats = []
+    for nbr in nbrs:
+        # a mask's degree sum is at most n(n-1) <= 650; min degrees start at n
+        acc = np.full(size, n, np.uint8) if need_mindeg else np.zeros(size, np.int16)
+        for v in range(n):
+            run = 1 << v
+            if run < size:
+                members = masks.reshape(-1, 2, run)[:, 1]
+                out = acc.reshape(-1, 2, run)[:, 1]
+            elif lo & run:
+                members, out = masks, acc
+            else:
+                continue
+            deg = np.bitwise_count(members & nbr[v])
+            if need_mindeg:
+                np.minimum(out, deg, out=out)
+            else:
+                out += deg
+        if not need_mindeg:
+            acc >>= 1  # each induced edge was counted from both ends
+        elif lo == 0:
+            acc[0] = 0  # the empty mask has no member to lower it from n
+        stats.append(acc)
+    return sizes, stats
 
 
 def _members(mask: int, n: int) -> tuple[int, ...]:
@@ -89,31 +118,22 @@ def exact_best(
 
     ratio = kind.name in ("ma", "aa", "kma")
     need_mindeg = kind.name in ("mm", "am")
-    adj_mats = []
-    for t in range(g.T):
-        mat = np.zeros((n, n), dtype=np.float64)
-        for u, v in g.frames[t]:
-            mat[u, v] = mat[v, u] = 1.0
-        adj_mats.append(mat)
+    nbrs = [_neighbour_masks(frame, n) for frame in g.frames]
 
     full = 1 << n
     nums = np.empty(full, dtype=np.int64)
     sizes = np.empty(full, dtype=np.int64)
     for lo in range(0, full, _CHUNK):
         hi = min(lo + _CHUNK, full)
-        sz, mindegs, edges = _chunk_tables(
-            adj_mats, n, lo, hi, need_mindeg, not need_mindeg
-        )
-        if kind.name == "mm":
-            num = np.min(np.stack(mindegs), axis=0)
+        sz, stats = _chunk_tables(nbrs, n, lo, hi, need_mindeg)
+        stack = np.stack(stats)  # per-frame min degrees (mm, am) or edge counts
+        if kind.name in ("mm", "ma"):
+            num = np.min(stack, axis=0)
         elif kind.name == "am":
-            num = np.sum(np.stack(mindegs), axis=0)
-        elif kind.name == "ma":
-            num = np.min(np.stack(edges), axis=0)
+            num = np.sum(stack, axis=0)
         elif kind.name == "aa":
-            num = 2 * np.sum(np.stack(edges), axis=0)
+            num = 2 * np.sum(stack, axis=0)
         else:  # kma: k-th largest per-frame edge count (shared denominator |S|)
-            stack = np.stack(edges)
             num = np.partition(stack, g.T - kind.k, axis=0)[g.T - kind.k]
         nums[lo:hi] = num
         sizes[lo:hi] = sz
@@ -251,10 +271,7 @@ def exact_mis(graph: TemporalGraph, budget: OracleBudget | None = None) -> int:
     n = graph.n
     if n > budget.max_vertices:
         raise BudgetExceeded(f"n = {n} exceeds budget {budget.max_vertices}")
-    nbr = [0] * n
-    for u, v in graph.frames[0]:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = _neighbour_masks(graph.frames[0], n)
     memo: dict[int, int] = {0: 0}
 
     def mis(mask: int) -> int:

@@ -207,6 +207,23 @@ def test_non_positive_budget_is_usage_error(tiny_path, tmp_path, argv):
     assert code == EXIT_USAGE and POSITIVE_MESSAGES[flag] in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("gen", "planted", "--n", "64", "--eps", "0"), "eps must lie in (0, 1/4)"),
+    (("gen", "planted", "--n", "8", "--eps", "1/8"), "ambient size must be >= 16"),
+    (("gen", "gap", "--n", "1"), "need n >= 2"),
+    (("lp", "check", "--n", "1"), "need n >= 2"),
+    (("lp", "gap", "--n", "0"), "need n >= 2"),
+])
+def test_flag_bounds_are_usage_errors(tmp_path, argv, message):
+    # these bounds depend on no instance, so they fail before any file is written
+    out = tmp_path / "out.dcs"
+    if argv[0] == "gen":
+        argv += ("--out", str(out))
+    code, _, err = invoke(*argv)
+    assert code == EXIT_USAGE and f"usage error: {message}" in err
+    assert not out.exists()
+
+
 def test_k_above_frame_count_is_invalid_instance(tiny_path):
     code, _, err = invoke("eval", "--in", tiny_path, "--set", "0,1", "--k", "3")
     assert code == EXIT_INVALID and "invalid instance" in err

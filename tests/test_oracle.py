@@ -31,6 +31,7 @@ from dcs import (
     reduce_setcover_to_mcss,
     score,
 )
+from dcs import oracle
 from helpers import naive_best, random_connected, random_temporal
 
 TINY = parse("3 2\n0 0 1\n1 0 1\n1 1 2\n")
@@ -58,9 +59,24 @@ def test_exact_best_matches_naive_enumeration():
             (KMA(1), "kma", 1),
         ):
             got_set, got = exact_best(g, kind)
-            _, want = naive_best(g, name, k)
+            want_set, want = naive_best(g, name, k)
+            assert got_set == want_set
             assert got.value == want
             assert score(g, got_set, kind).value == want
+
+
+def test_exact_best_same_across_chunk_sizes(monkeypatch):
+    # a small chunk splits the masks into many ranges, the empty mask alone
+    # at the start of the first
+    rng = random.Random(41)
+    cases = []
+    for _ in range(20):
+        g = random_temporal(rng, rng.randint(1, 9), rng.randint(1, 3))
+        for kind in [MM, MA, AM, AA] + [KMA(k) for k in range(1, g.T + 1)]:
+            cases.append((g, kind, exact_best(g, kind)))
+    monkeypatch.setattr(oracle, "_CHUNK", 4)
+    for g, kind, want in cases:
+        assert exact_best(g, kind) == want
 
 
 def test_exact_best_tie_break_smallest_then_lexicographic():

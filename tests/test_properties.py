@@ -22,6 +22,7 @@ from dcs import (
     check_feasible,
     check_spanning,
     exact_am,
+    exact_best,
     fpt_approx_am,
     parse,
     potential,
@@ -29,7 +30,7 @@ from dcs import (
     serialize,
     threshold_grid,
 )
-from helpers import naive_am_search, naive_lp_check, naive_value
+from helpers import naive_am_search, naive_best, naive_lp_check, naive_value
 
 # Seeded and database-free, so every run draws the same examples.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -128,6 +129,14 @@ def test_am_search_matches_naive_lexicographic_search(g):
         want_core, want_value, _ = naive_am_search(g, values)
         solution, value = fpt_approx_am(g, eps)
         assert (frozenset(solution), value) == (want_core, want_value)
+
+
+@PROPERTY
+@given(graphs(max_n=9, max_t=3))
+def test_exact_best_matches_naive_best(g):
+    for kind in [MM, MA, AM, AA] + [KMA(k) for k in range(1, g.T + 1)]:
+        solution, best = exact_best(g, kind)
+        assert (solution, best.value) == naive_best(g, kind.name, kind.k)
 
 
 # small nudges up and down, or none, so drawn points land on both sides of
