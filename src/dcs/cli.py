@@ -70,6 +70,12 @@ def _positive(noun: str, kind: str, convert):
 _budget = _positive("budget", "integer", int)
 _eps = _positive("eps", "rational", Fraction)
 _k = _positive("k", "integer", int)
+_threads = _positive("threads", "integer", int)
+
+# every solver, in the order bench reports them
+_ALGORITHMS = (
+    "greedy-ma", "best-with-all", "composite-ma", "exact-am", "fpt-am", "mcss-greedy",
+)
 
 
 def _int_list(text: str) -> list[int]:
@@ -82,7 +88,7 @@ def _frac_list(text: str) -> list[Fraction]:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dcs", description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_threads, default=None,
                         help="worker cap accepted for compatibility; results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -128,10 +134,7 @@ def _build_parser() -> _Parser:
     g_sc.add_argument("--out", required=True)
 
     solve = sub.add_parser("solve", help="run a solver on an instance")
-    solve.add_argument("--alg", required=True, choices=[
-        "greedy-ma", "best-with-all", "composite-ma",
-        "exact-am", "fpt-am", "mcss-greedy",
-    ])
+    solve.add_argument("--alg", required=True, choices=_ALGORITHMS)
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--eps", type=_eps, default=Fraction(1, 2))
     solve.add_argument("--out", default=None,
@@ -169,11 +172,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _flag_values(check, *args, **kwargs):
-    """Call a library check or constructor on flag values alone; its
-    ValueError is a usage error, not an invalid instance."""
+@contextlib.contextmanager
+def _flag_values():
+    """Library calls on flag values alone: their ValueError is a usage
+    error, not an invalid instance."""
     try:
-        return check(*args, **kwargs)
+        yield
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -196,125 +200,108 @@ def _score_json(s: objectives.Score) -> dict:
     }
 
 
-def _solve_report_json(rep: ma.SolveReport) -> dict:
-    out = {
-        "algorithm": rep.algorithm,
-        "solution": list(rep.solution.members),
-        "score": str(rep.score.value),
-        "per_frame": [str(v) for v in rep.score.per_frame],
-        "wall_time": rep.wall_time,
-        "zero_score": rep.zero_score,
+def _scored(solution: temporal.VertexSet, score: objectives.Score) -> dict:
+    return {
+        "solution": list(solution.members),
+        "score": str(score.value),
+        "per_frame": [str(v) for v in score.per_frame],
     }
-    if rep.frames_covered_per_iteration is not None:
-        out["frames_covered_per_iteration"] = list(rep.frames_covered_per_iteration)
-    if rep.candidate_scores:
-        out["candidate_scores"] = {k: str(v) for k, v in rep.candidate_scores.items()}
-    return out
 
 
-def _write_names(path: str, names: dict[int, str]) -> None:
+def _write(path: str, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        for idx in sorted(names):
-            fh.write(f"{idx} {names[idx]}\n")
+        fh.write(text)
 
 
 def _run_gen(args) -> dict:
     names: dict[int, str] | None = None
-    if args.generator == "gap":
-        _flag_values(generators.check_gap_size, args.n)
-        g = generators.gen_gap_instance(args.n)
-    elif args.generator == "minrep":
-        mr = generators.random_minrep(args.parts, args.part_size, args.edge_prob, args.seed)
-        g, names = generators.reduce_minrep_to_ma(mr)
-    elif args.generator == "mis":
-        if args.infile:
-            base = temporal.load(args.infile)
-        elif args.n is not None:
-            base = generators.random_graph(args.n, args.edge_prob, args.seed)
-            if base.n > 1 and len(base.frames[0]) == base.n * (base.n - 1) // 2:
-                # random draw came out complete: drop edge (0, 1) to stay reducible
-                base = temporal.TemporalGraph(base.n, [base.frames[0][1:]])
-        else:
-            raise _UsageError("gen mis needs --in or --n")
-        g = generators.reduce_mis_to_am(base)
-    elif args.generator == "planted":
-        params = _flag_values(
-            generators.PlantedParams,
-            n=args.n, eps=args.eps, planted=args.planted, seed=args.seed,
-        )
-        g = generators.gen_planted_2frame(params)
-    elif args.generator == "recursive":
-        params = generators.RecursiveParams(
-            nvec=tuple(args.nvec), pvec=tuple(args.pvec), seed=args.seed
-        )
-        g = generators.sample_recursive_planted(params)
-    else:  # setcover-mcss
-        sc = generators.random_set_cover(args.elems, args.sets, args.prob, args.seed)
-        g, names = generators.reduce_setcover_to_mcss(sc)
+    if args.generator == "mis" and args.infile:
+        # a bad input file is an invalid instance, not a bad flag value
+        g = generators.reduce_mis_to_am(temporal.load(args.infile))
+    elif args.generator == "mis" and args.n is None:
+        raise _UsageError("gen mis needs --in or --n")
+    else:
+        with _flag_values():
+            if args.generator == "gap":
+                g = generators.gen_gap_instance(args.n)
+            elif args.generator == "minrep":
+                g, names = generators.reduce_minrep_to_ma(generators.random_minrep(
+                    args.parts, args.part_size, args.edge_prob, args.seed))
+            elif args.generator == "mis":
+                base = generators.random_graph(args.n, args.edge_prob, args.seed)
+                if base.n > 1 and len(base.frames[0]) == base.n * (base.n - 1) // 2:
+                    # random draw came out complete: drop edge (0, 1) to stay reducible
+                    base = temporal.TemporalGraph(base.n, [base.frames[0][1:]])
+                g = generators.reduce_mis_to_am(base)
+            elif args.generator == "planted":
+                g = generators.gen_planted_2frame(generators.PlantedParams(
+                    n=args.n, eps=args.eps, planted=args.planted, seed=args.seed))
+            elif args.generator == "recursive":
+                g = generators.sample_recursive_planted(generators.RecursiveParams(
+                    nvec=tuple(args.nvec), pvec=tuple(args.pvec), seed=args.seed))
+            else:  # setcover-mcss
+                g, names = generators.reduce_setcover_to_mcss(generators.random_set_cover(
+                    args.elems, args.sets, args.prob, args.seed))
     temporal.save(g, args.out)
     report = {"out": args.out, "instance": _instance_info(g)}
     if names is not None:
         names_path = args.out + ".names"
-        _write_names(names_path, names)
+        _write(names_path, "".join(f"{i} {names[i]}\n" for i in sorted(names)))
         report["names_out"] = names_path
     return report
 
 
-def _write_vertices(path: str, members) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for v in members:
-            fh.write(f"{v}\n")
+def _solve(g: temporal.TemporalGraph, alg: str, eps: Fraction) -> tuple[dict, str]:
+    """Run one solver: its report fields, timed, and its --out text.
+
+    The only code in the CLI that calls a solver; solvers do not time themselves.
+    """
+    t0 = time.perf_counter()
+    if alg == "mcss-greedy":
+        run = mcss.mcss_greedy_run(g)
+        result = {
+            "algorithm": alg,
+            "edges": [list(e) for e in run.solution.edges],
+            "size": len(run.solution),
+            "gains": list(run.gains),
+            "phase_boundary": run.phase_boundary,
+            "spanning": mcss.check_spanning(g, run.solution),
+        }
+        text = mcss.serialize_edges(run.solution)
+    elif alg in ("exact-am", "fpt-am"):
+        solution, value = am.exact_am(g) if alg == "exact-am" else am.fpt_approx_am(g, eps)
+        result = {
+            "algorithm": alg,
+            "solution": list(solution.members),
+            "score": str(Fraction(value)),
+            "verified_am_score": str(objectives.score(g, solution, objectives.AM).value),
+        }
+    else:
+        solver = {
+            "greedy-ma": ma.greedy_cover,
+            "best-with-all": ma.best_with_all,
+            "composite-ma": ma.composite_ma,
+        }[alg]
+        rep = solver(g)
+        solution = rep.solution
+        result = {"algorithm": rep.algorithm, "zero_score": rep.zero_score,
+                  **_scored(solution, rep.score)}
+        if rep.frames_covered_per_iteration is not None:
+            result["frames_covered_per_iteration"] = list(rep.frames_covered_per_iteration)
+        if rep.candidate_scores:
+            result["candidate_scores"] = {k: str(v) for k, v in rep.candidate_scores.items()}
+    if alg != "mcss-greedy":
+        text = "".join(f"{v}\n" for v in solution.members)
+    result["wall_time"] = time.perf_counter() - t0
+    return result, text
 
 
 def _run_solve(args) -> dict:
     g = temporal.load(args.infile)
-    info = _instance_info(g, args.infile)
-    if args.alg == "mcss-greedy":
-        t0 = time.perf_counter()
-        run = mcss.mcss_greedy_run(g)
-        if args.out:
-            with open(args.out, "w", newline="\n") as fh:
-                fh.write(mcss.serialize_edges(run.solution))
-        return {
-            "instance": info,
-            "result": {
-                "algorithm": "mcss-greedy",
-                "edges": [list(e) for e in run.solution.edges],
-                "size": len(run.solution),
-                "gains": list(run.gains),
-                "phase_boundary": run.phase_boundary,
-                "spanning": mcss.check_spanning(g, run.solution),
-                "wall_time": time.perf_counter() - t0,
-            },
-        }
-    if args.alg in ("exact-am", "fpt-am"):
-        t0 = time.perf_counter()
-        if args.alg == "exact-am":
-            solution, value = am.exact_am(g)
-        else:
-            solution, value = am.fpt_approx_am(g, args.eps)
-        verified = objectives.score(g, solution, objectives.AM)
-        if args.out:
-            _write_vertices(args.out, solution.members)
-        return {
-            "instance": info,
-            "result": {
-                "algorithm": args.alg,
-                "solution": list(solution.members),
-                "score": str(Fraction(value)),
-                "verified_am_score": str(verified.value),
-                "wall_time": time.perf_counter() - t0,
-            },
-        }
-    solver = {
-        "greedy-ma": ma.greedy_cover,
-        "best-with-all": ma.best_with_all,
-        "composite-ma": ma.composite_ma,
-    }[args.alg]
-    rep = solver(g)
+    result, text = _solve(g, args.alg, args.eps)
     if args.out:
-        _write_vertices(args.out, rep.solution.members)
-    return {"instance": info, "result": _solve_report_json(rep)}
+        _write(args.out, text)
+    return {"instance": _instance_info(g, args.infile), "result": result}
 
 
 def _run_oracle(args) -> dict:
@@ -344,9 +331,7 @@ def _run_oracle(args) -> dict:
         "instance": info,
         "result": {
             "objective": repr(kind),
-            "solution": list(solution.members),
-            "score": str(best.value),
-            "per_frame": [str(v) for v in best.per_frame],
+            **_scored(solution, best),
             "wall_time": time.perf_counter() - t0,
         },
     }
@@ -357,8 +342,7 @@ def _run_lp(args) -> dict:
         g = temporal.load(args.infile)
         model = lp.build_lp(g)
         text = lp.export_lp(model)
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+        _write(args.out, text)
         return {
             "instance": _instance_info(g, args.infile),
             "result": {
@@ -368,9 +352,9 @@ def _run_lp(args) -> dict:
                 "digest": hashlib.sha256(text.encode()).hexdigest(),
             },
         }
-    _flag_values(generators.check_gap_size, args.n)
     if args.lp_command == "check":
-        g, f = lp.harmonic_solution(args.n)
+        with _flag_values():
+            g, f = lp.harmonic_solution(args.n)
         feasible, value, violations = lp.check_feasible(g, f)
         return {
             "instance": _instance_info(g),
@@ -380,7 +364,8 @@ def _run_lp(args) -> dict:
                 "violations": violations,
             },
         }
-    report = lp.gap_report(args.n, oracle.OracleBudget(max_vertices=args.budget_n))
+    with _flag_values():
+        report = lp.gap_report(args.n, oracle.OracleBudget(max_vertices=args.budget_n))
     return {
         "result": {
             "n": args.n,
@@ -411,27 +396,13 @@ def _run_eval(args) -> dict:
 def _run_bench(args) -> dict:
     g = temporal.load(args.infile)
     rows = []
-    for name, fn in (
-        ("greedy-ma", ma.greedy_cover),
-        ("best-with-all", ma.best_with_all),
-        ("composite-ma", ma.composite_ma),
-    ):
-        rep = fn(g)
-        rows.append({"algorithm": name, "score": str(rep.score.value),
-                     "wall_time": rep.wall_time})
-    t0 = time.perf_counter()
-    _, value = am.exact_am(g)
-    rows.append({"algorithm": "exact-am", "score": str(value),
-                 "wall_time": time.perf_counter() - t0})
-    t0 = time.perf_counter()
-    _, value = am.fpt_approx_am(g, args.eps)
-    rows.append({"algorithm": "fpt-am", "score": str(value),
-                 "wall_time": time.perf_counter() - t0})
-    with contextlib.suppress(InfeasibleFrame):  # greedy needs connected frames
-        t0 = time.perf_counter()
-        solution = mcss.mcss_greedy(g)
-        rows.append({"algorithm": "mcss-greedy", "score": str(len(solution)),
-                     "wall_time": time.perf_counter() - t0})
+    for alg in _ALGORITHMS:
+        try:
+            result, _ = _solve(g, alg, args.eps)
+        except InfeasibleFrame:  # only the mcss greedy needs connected frames
+            continue
+        score = result["score"] if "score" in result else str(result["size"])
+        rows.append({"algorithm": alg, "score": score, "wall_time": result["wall_time"]})
     return {"instance": _instance_info(g, args.infile), "result": rows}
 
 
@@ -442,8 +413,6 @@ def run(argv, stdout=None, stderr=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads is not None and args.threads < 1:
-            raise _UsageError("--threads must be >= 1")
         handler = {
             "gen": _run_gen,
             "solve": _run_solve,

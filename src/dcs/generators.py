@@ -166,19 +166,14 @@ def _er_edges(stream: SplitMix64, vertices: Sequence[int], p: float) -> list[Edg
     return [(vertices[int(i)], vertices[int(j)]) for i, j in zip(rows, cols)]
 
 
-def check_gap_size(n: int) -> None:
-    """The gap family needs at least two vertices; raises ValueError otherwise."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-
-
 def gen_gap_instance(n: int) -> TemporalGraph:
     """Star sequence with T = n-1 frames; frame k is a k-edge star at vertex k.
 
     Every vertex centers a star in some frame, so any integral solution
     missing a vertex scores zero, while the full set scores exactly 1/n.
     """
-    check_gap_size(n)
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     frames = [[(i, k) for i in range(k)] for k in range(1, n)]
     return TemporalGraph(n, frames)
 
@@ -369,6 +364,8 @@ def random_minrep(
     Each A x B vertex pair gets an edge with probability edge_prob; if none
     appears, one fixed edge is added so at least one superedge exists.
     """
+    if parts < 1 or part_size < 1:
+        raise ValueError(f"need parts >= 1 and part_size >= 1, got {parts} and {part_size}")
     a_parts = tuple(
         tuple(f"a{i}_{j}" for j in range(part_size)) for i in range(parts)
     )
@@ -388,6 +385,8 @@ def random_minrep(
 
 def random_set_cover(n_elems: int, num_sets: int, prob: float, seed: int) -> SetCoverInstance:
     """Random set system over n_elems elements, patched to cover everything."""
+    if num_sets < 1:
+        raise ValueError(f"need num_sets >= 1, got {num_sets}")
     stream = substream(seed, 0)
     sets = [set() for _ in range(num_sets)]
     for j in range(num_sets):

@@ -21,7 +21,6 @@ all vertices with the zero_score flag set instead of failing.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -33,18 +32,17 @@ from .temporal import TemporalGraph, VertexSet, induced_degrees
 
 @dataclass
 class SolveReport:
-    """One solver run: solution, its independently recomputed score, timing."""
+    """One solver run: solution and its independently recomputed score."""
 
     algorithm: str
     solution: VertexSet
     score: Score
     frames_covered_per_iteration: tuple[int, ...] | None = None
-    wall_time: float = 0.0
     zero_score: bool = False
     candidate_scores: dict[str, Fraction] = field(default_factory=dict)
 
 
-def _report(g: TemporalGraph, algorithm: str, members: Iterable[int], t0: float,
+def _report(g: TemporalGraph, algorithm: str, members: Iterable[int],
             trace: tuple[int, ...] | None = None,
             zero_score: bool = False) -> SolveReport:
     solution = VertexSet(members)
@@ -53,25 +51,22 @@ def _report(g: TemporalGraph, algorithm: str, members: Iterable[int], t0: float,
         solution=solution,
         score=score(g, solution, MA),
         frames_covered_per_iteration=trace,
-        wall_time=time.perf_counter() - t0,
         zero_score=zero_score,
     )
 
 
-def _best_of(algorithm: str, runs: list[SolveReport], t0: float) -> SolveReport:
+def _best_of(algorithm: str, runs: list[SolveReport]) -> SolveReport:
     """The first run with the highest score, relabelled, with every run's score."""
     best = max(runs, key=lambda run: run.score.value)
     return replace(
         best,
         algorithm=algorithm,
-        wall_time=time.perf_counter() - t0,
         candidate_scores={run.algorithm: run.score.value for run in runs},
     )
 
 
 def _all_vertices(g: TemporalGraph) -> SolveReport:
-    return _report(g, "all-vertices", range(g.n), time.perf_counter(),
-                   zero_score=_has_edgeless_frame(g))
+    return _report(g, "all-vertices", range(g.n), zero_score=_has_edgeless_frame(g))
 
 
 def _has_edgeless_frame(g: TemporalGraph) -> bool:
@@ -90,6 +85,12 @@ def _ma_value(g: TemporalGraph, members: tuple[int, ...]) -> Fraction:
     return Fraction(worst, len(members))
 
 
+def _first_best(g: TemporalGraph, algorithm: str,
+                candidates: Iterable[tuple[int, ...]]) -> SolveReport:
+    """Report the first candidate set with the highest MA value."""
+    return _report(g, algorithm, max(candidates, key=lambda m: _ma_value(g, m)))
+
+
 def greedy_cover(g: TemporalGraph) -> SolveReport:
     """Cover every frame with induced edges, two vertices per step.
 
@@ -98,9 +99,8 @@ def greedy_cover(g: TemporalGraph) -> SolveReport:
     at most T steps.  If some frame has no edges at all, returns all
     vertices flagged zero_score.
     """
-    t0 = time.perf_counter()
     if _has_edgeless_frame(g):
-        return _report(g, "greedy-cover", range(g.n), t0, trace=(), zero_score=True)
+        return _report(g, "greedy-cover", range(g.n), trace=(), zero_score=True)
     n = g.n
     chosen: set[int] = set()
     uncovered = list(range(g.T))
@@ -128,13 +128,12 @@ def greedy_cover(g: TemporalGraph) -> SolveReport:
         chosen.update(best_pair)
         uncovered = [t for bit, t in enumerate(uncovered) if not best_mask >> bit & 1]
         trace.append(best_gain)
-    return _report(g, "greedy-cover", chosen, t0, trace=tuple(trace))
+    return _report(g, "greedy-cover", chosen, trace=tuple(trace))
 
 
 def best_with_all(g: TemporalGraph) -> SolveReport:
     """Better of the all-vertices baseline and the greedy cover; ties keep V."""
-    t0 = time.perf_counter()
-    return _best_of("best-with-all", [_all_vertices(g), greedy_cover(g)], t0)
+    return _best_of("best-with-all", [_all_vertices(g), greedy_cover(g)])
 
 
 def _int_log(base: int, value: int) -> int:
@@ -151,17 +150,13 @@ def subset_search(g: TemporalGraph) -> SolveReport:
     Exact whenever the optimum is that small; the floor of 2 keeps the
     search over edge-bearing pairs even when log_n T < 2.
     """
-    t0 = time.perf_counter()
     n = g.n
     bound = max(2, _int_log(n, g.T)) if n >= 2 else 1
-    best_members: tuple[int, ...] | None = None
-    best_value = Fraction(-1)
-    for size in range(1, min(n, bound) + 1):
-        for members in combinations(range(n), size):
-            value = _ma_value(g, members)
-            if value > best_value:
-                best_members, best_value = members, value
-    return _report(g, "subset-search", best_members, t0)
+    return _first_best(g, "subset-search", (
+        members
+        for size in range(1, min(n, bound) + 1)
+        for members in combinations(range(n), size)
+    ))
 
 
 def partition_blocks(n: int, t_count: int) -> list[tuple[int, ...]]:
@@ -181,19 +176,12 @@ def partition_blocks(n: int, t_count: int) -> list[tuple[int, ...]]:
 
 def partition_search(g: TemporalGraph) -> SolveReport:
     """Evaluate every nonempty union of near-equal contiguous vertex blocks."""
-    t0 = time.perf_counter()
     blocks = partition_blocks(g.n, g.T)
     r = len(blocks)
-    best_members: tuple[int, ...] | None = None
-    best_value = Fraction(-1)
-    for mask in range(1, 1 << r):
-        members = tuple(
-            v for i in range(r) if mask >> i & 1 for v in blocks[i]
-        )
-        value = _ma_value(g, members)
-        if value > best_value:
-            best_members, best_value = members, value
-    return _report(g, "partition-search", best_members, t0)
+    return _first_best(g, "partition-search", (
+        tuple(v for i in range(r) if mask >> i & 1 for v in blocks[i])
+        for mask in range(1, 1 << r)
+    ))
 
 
 def composite_ma(g: TemporalGraph) -> SolveReport:
@@ -203,6 +191,5 @@ def composite_ma(g: TemporalGraph) -> SolveReport:
     evaluates the union of all blocks) but kept in the per-candidate scores
     for reporting.  Ties keep the earliest candidate in the order above.
     """
-    t0 = time.perf_counter()
     runs = [greedy_cover(g), subset_search(g), partition_search(g), _all_vertices(g)]
-    return _best_of("composite-ma", runs, t0)
+    return _best_of("composite-ma", runs)

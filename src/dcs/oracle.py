@@ -138,22 +138,11 @@ def exact_best(
         nums[lo:hi] = num
         sizes[lo:hi] = sz
 
-    best_val = Fraction(-1)
-    per_size_max: dict[int, int] = {}
-    for s0 in range(1, n + 1):
-        sel = sizes == s0
-        if not sel.any():
-            continue
-        x = int(nums[sel].max())
-        per_size_max[s0] = x
-        val = Fraction(x, s0) if ratio else Fraction(x)
-        if val > best_val:
-            best_val = val
-    s_star = min(
-        s0
-        for s0, x in per_size_max.items()
-        if (Fraction(x, s0) if ratio else Fraction(x)) == best_val
-    )
+    per_size_max = np.zeros(n + 1, dtype=np.int64)  # every table entry is >= 0
+    np.maximum.at(per_size_max, sizes, nums)
+    vals = [Fraction(int(per_size_max[s0]), s0 if ratio else 1) for s0 in range(1, n + 1)]
+    best_val = max(vals)
+    s_star = vals.index(best_val) + 1  # the smallest size reaching it
     target = per_size_max[s_star]
     candidates = np.nonzero((sizes == s_star) & (nums == target))[0]
     best_mask = min((int(m) for m in candidates), key=lambda m: _members(m, n))

@@ -117,7 +117,7 @@ def test_gen_mis_tiny_random_input(tmp_path):
     assert code == EXIT_INVALID and "input graph is complete" in err
     # --n 0 is an explicit, invalid size, not a missing flag
     code, _, err = invoke("gen", "mis", "--n", "0", "--out", out)
-    assert code == EXIT_INVALID and "vertex count" in err
+    assert code == EXIT_USAGE and "vertex count" in err
 
 
 def test_bench(tiny_path):
@@ -142,6 +142,121 @@ def test_reports_deterministic_modulo_wall_time(tiny_path):
         for _ in range(2)
     ]
     assert _strip_wall_times(runs[0]) == _strip_wall_times(runs[1])
+
+
+CONNECTED = "3 2\n0 0 1\n0 1 2\n0 0 2\n1 0 1\n1 1 2\n"
+
+# Full report bodies, wall_time aside: (file text, digest, {verb: result}),
+# where None marks a verb that exits 2 (the mcss greedy needs connected frames).
+GOLDEN = {
+    "tiny": (TINY, "2c38c20d975a84bf5296799cadffedf8db2f00d076307423937fbf94731dced7", {
+        ("solve", "--alg", "greedy-ma"): {
+            "algorithm": "greedy-cover", "frames_covered_per_iteration": [2],
+            "per_frame": ["1/2", "1/2"], "score": "1/2", "solution": [0, 1],
+            "zero_score": False,
+        },
+        ("solve", "--alg", "best-with-all"): {
+            "algorithm": "best-with-all",
+            "candidate_scores": {"all-vertices": "1/3", "greedy-cover": "1/2"},
+            "frames_covered_per_iteration": [2], "per_frame": ["1/2", "1/2"],
+            "score": "1/2", "solution": [0, 1], "zero_score": False,
+        },
+        ("solve", "--alg", "composite-ma"): {
+            "algorithm": "composite-ma",
+            "candidate_scores": {"all-vertices": "1/3", "greedy-cover": "1/2",
+                                 "partition-search": "1/2", "subset-search": "1/2"},
+            "frames_covered_per_iteration": [2], "per_frame": ["1/2", "1/2"],
+            "score": "1/2", "solution": [0, 1], "zero_score": False,
+        },
+        ("solve", "--alg", "exact-am"): {
+            "algorithm": "exact-am", "score": "2", "solution": [0, 1],
+            "verified_am_score": "2",
+        },
+        ("solve", "--alg", "fpt-am"): {
+            "algorithm": "fpt-am", "score": "2", "solution": [0, 1],
+            "verified_am_score": "2",
+        },
+        ("solve", "--alg", "mcss-greedy"): None,
+        ("bench",): [
+            {"algorithm": "greedy-ma", "score": "1/2"},
+            {"algorithm": "best-with-all", "score": "1/2"},
+            {"algorithm": "composite-ma", "score": "1/2"},
+            {"algorithm": "exact-am", "score": "2"},
+            {"algorithm": "fpt-am", "score": "2"},
+        ],
+        ("oracle", "--objective", "ma"): {
+            "objective": "MA", "per_frame": ["1/2", "1/2"], "score": "1/2",
+            "solution": [0, 1],
+        },
+    }),
+    "connected": (CONNECTED, "a4357cd046afbfef46b0a2f9cb481b6205295668bba5743347762fda240d4a0f", {
+        ("solve", "--alg", "greedy-ma"): {
+            "algorithm": "greedy-cover", "frames_covered_per_iteration": [2],
+            "per_frame": ["1/2", "1/2"], "score": "1/2", "solution": [0, 1],
+            "zero_score": False,
+        },
+        ("solve", "--alg", "best-with-all"): {
+            "algorithm": "best-with-all",
+            "candidate_scores": {"all-vertices": "2/3", "greedy-cover": "1/2"},
+            "per_frame": ["1", "2/3"], "score": "2/3", "solution": [0, 1, 2],
+            "zero_score": False,
+        },
+        ("solve", "--alg", "composite-ma"): {
+            "algorithm": "composite-ma",
+            "candidate_scores": {"all-vertices": "2/3", "greedy-cover": "1/2",
+                                 "partition-search": "2/3", "subset-search": "1/2"},
+            "per_frame": ["1", "2/3"], "score": "2/3", "solution": [0, 1, 2],
+            "zero_score": False,
+        },
+        ("solve", "--alg", "exact-am"): {
+            "algorithm": "exact-am", "score": "3", "solution": [0, 1, 2],
+            "verified_am_score": "3",
+        },
+        ("solve", "--alg", "fpt-am"): {
+            "algorithm": "fpt-am", "score": "3", "solution": [0, 1, 2],
+            "verified_am_score": "3",
+        },
+        ("solve", "--alg", "mcss-greedy"): {
+            "algorithm": "mcss-greedy", "edges": [[0, 1], [1, 2]], "gains": [2, 2],
+            "phase_boundary": 1, "size": 2, "spanning": True,
+        },
+        ("bench",): [
+            {"algorithm": "greedy-ma", "score": "1/2"},
+            {"algorithm": "best-with-all", "score": "2/3"},
+            {"algorithm": "composite-ma", "score": "2/3"},
+            {"algorithm": "exact-am", "score": "3"},
+            {"algorithm": "fpt-am", "score": "3"},
+            {"algorithm": "mcss-greedy", "score": "2"},
+        ],
+        ("oracle", "--objective", "ma"): {
+            "objective": "MA", "per_frame": ["1", "2/3"], "score": "2/3",
+            "solution": [0, 1, 2],
+        },
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_bodies_match_golden(tmp_path, name):
+    text, digest, results = GOLDEN[name]
+    path = tmp_path / f"{name}.dcs"
+    path.write_text(text)
+    instance = {"T": 2, "digest": digest, "n": 3, "path": str(path)}
+    for verb, expected in results.items():
+        argv = [*verb, "--in", str(path)]
+        code, report, err = invoke(*argv)
+        if expected is None:
+            assert code == EXIT_INVALID and "disconnected" in err
+            continue
+        assert code == EXIT_OK, err
+        timed = report["result"] if verb[0] == "bench" else [report["result"]]
+        assert all(isinstance(row["wall_time"], float) for row in timed)
+        if verb[0] == "bench":  # the mcss greedy row needs connected frames
+            has_mcss = any(row["algorithm"] == "mcss-greedy" for row in timed)
+            assert has_mcss == (name == "connected")
+        assert _strip_wall_times(report) == {
+            "command": argv, "status": "ok", "instance": instance, "result": expected,
+        }
 
 
 def test_generation_identical_across_thread_counts(tmp_path):
@@ -175,6 +290,9 @@ def test_exit_codes(tiny_path, tmp_path):
     code, _, err = invoke("solve", "--alg", "composite-ma", "--in",
                           str(tmp_path / "missing.dcs"))
     assert code == EXIT_INVALID
+    # a --in file the reduction refuses is an invalid instance, not a bad flag
+    code, _, err = invoke("gen", "mis", "--in", tiny_path, "--out", str(tmp_path / "m.dcs"))
+    assert code == EXIT_INVALID and "single-frame" in err
 
 
 POSITIVE_MESSAGES = {
@@ -182,6 +300,7 @@ POSITIVE_MESSAGES = {
     "--budget-edges": "budget must be a positive integer",
     "--eps": "eps must be a positive rational",
     "--k": "k must be a positive integer",
+    "--threads": "threads must be a positive integer",
 }
 
 
@@ -195,11 +314,12 @@ POSITIVE_MESSAGES = {
     ("bench", "--eps", "0"),
     ("eval", "--set", "0,1", "--k", "0"),
     ("oracle", "--objective", "kma", "--k", "0"),
+    ("--threads", "0", "bench"),
 ])
 def test_non_positive_budget_is_usage_error(tiny_path, tmp_path, argv):
-    # budgets, --eps and --k are checked while parsing, so an --eps or --k
-    # case given a missing file still exits 1, not 2
-    flag = argv[-2]
+    # budgets, --eps, --k and --threads are checked while parsing, so a case
+    # other than a budget given a missing file still exits 1, not 2
+    flag = next(arg for arg in argv if arg in POSITIVE_MESSAGES)
     if argv[0] != "lp":
         missing = str(tmp_path / "missing.dcs")
         argv += ("--in", tiny_path if flag.startswith("--budget") else missing)
@@ -213,6 +333,15 @@ def test_non_positive_budget_is_usage_error(tiny_path, tmp_path, argv):
     (("gen", "gap", "--n", "1"), "need n >= 2"),
     (("lp", "check", "--n", "1"), "need n >= 2"),
     (("lp", "gap", "--n", "0"), "need n >= 2"),
+    (("gen", "minrep", "--parts", "0"), "need parts >= 1"),
+    (("gen", "minrep", "--part-size", "0"), "need parts >= 1 and part_size >= 1"),
+    (("gen", "minrep", "--edge-prob", "2"), "probability 2.0 outside [0, 1]"),
+    (("gen", "setcover-mcss", "--sets", "0"), "need num_sets >= 1"),
+    (("gen", "setcover-mcss", "--prob", "2"), "probability 2.0 outside [0, 1]"),
+    (("gen", "recursive", "--nvec", "3,5", "--pvec", "1/2,1/2"),
+     "size vector must be strictly decreasing"),
+    (("gen", "mis", "--n", "0"), "vertex count must be >= 1"),
+    (("gen", "mis", "--n", "4", "--edge-prob", "2"), "probability 2.0 outside [0, 1]"),
 ])
 def test_flag_bounds_are_usage_errors(tmp_path, argv, message):
     # these bounds depend on no instance, so they fail before any file is written
