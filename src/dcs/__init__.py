@@ -74,10 +74,8 @@ from .oracle import (
     exact_setcover,
 )
 from .temporal import (
-    FrameStats,
     TemporalGraph,
     VertexSet,
-    induced_stats,
     load,
     parse,
     save,

@@ -82,6 +82,13 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part != ""]
 
 
+def _vertex_list(text: str) -> list[int]:
+    vertices = _int_list(text)
+    if not vertices or min(vertices) < 0:
+        raise argparse.ArgumentTypeError(f"need a nonempty list of vertices >= 0, got {text!r}")
+    return vertices
+
+
 def _frac_list(text: str) -> list[Fraction]:
     return [_frac(part) for part in text.split(",") if part != ""]
 
@@ -162,7 +169,7 @@ def _build_parser() -> _Parser:
 
     ev = sub.add_parser("eval", help="score a given vertex set")
     ev.add_argument("--in", dest="infile", required=True)
-    ev.add_argument("--set", dest="vertex_set", type=_int_list, required=True)
+    ev.add_argument("--set", dest="vertex_set", type=_vertex_list, required=True)
     ev.add_argument("--k", type=_k, default=None, help="also score KMA(k)")
 
     bench = sub.add_parser("bench", help="time every applicable solver")
@@ -305,6 +312,8 @@ def _run_solve(args) -> dict:
 
 
 def _run_oracle(args) -> dict:
+    if (args.k is None) == (args.objective == "kma"):
+        raise _UsageError("oracle --objective kma needs --k, and no other objective takes it")
     g = temporal.load(args.infile)
     info = _instance_info(g, args.infile)
     budget = oracle.OracleBudget(args.budget_n, args.budget_edges)
@@ -320,12 +329,7 @@ def _run_oracle(args) -> dict:
                 "wall_time": time.perf_counter() - t0,
             },
         }
-    if args.objective == "kma":
-        if args.k is None:
-            raise _UsageError("oracle --objective kma needs --k")
-        kind = objectives.KMA(args.k)
-    else:
-        kind = objectives.ObjectiveKind(args.objective)
+    kind = objectives.ObjectiveKind(args.objective, args.k)
     solution, best = oracle.exact_best(g, kind, budget)
     return {
         "instance": info,

@@ -89,6 +89,8 @@ class SetCoverInstance:
     sets: tuple[frozenset[int], ...]
 
     def __init__(self, n_elems: int, sets: Iterable[Iterable[int]]):
+        if n_elems < 0:
+            raise ValueError(f"need n_elems >= 0, got {n_elems}")
         object.__setattr__(self, "n_elems", n_elems)
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in sets))
         for s in self.sets:

@@ -102,32 +102,35 @@ def greedy_cover(g: TemporalGraph) -> SolveReport:
     if _has_edgeless_frame(g):
         return _report(g, "greedy-cover", range(g.n), trace=(), zero_score=True)
     n = g.n
+    # bit t of a mask stands for frame t; pair_frames[(u, v)]: frames holding edge (u, v)
+    pair_frames: dict[tuple[int, int], int] = {}
+    for t, frame in enumerate(g.frames):
+        for e in frame:
+            pair_frames[e] = pair_frames.get(e, 0) | 1 << t
     chosen: set[int] = set()
-    uncovered = list(range(g.T))
+    uncovered = (1 << g.T) - 1
     trace: list[int] = []
     while uncovered:
         # Per-vertex masks of uncovered frames where the vertex would attach
         # to the current set; pair (u, v) additionally covers frames holding
         # the edge (u, v) itself.
         near = [0] * n
-        pair_bits: dict[tuple[int, int], int] = {}
-        for bit, t in enumerate(uncovered):
-            for u, d in enumerate(induced_degrees(g, t, range(n), chosen)):
-                if d:
-                    near[u] |= 1 << bit
-            for e in g.frames[t]:
-                pair_bits[e] = pair_bits.get(e, 0) | 1 << bit
-        best_pair, best_gain, best_mask = None, 0, 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                mask = near[u] | near[v] | pair_bits.get((u, v), 0)
-                gain = bin(mask).count("1")
-                if gain > best_gain:
-                    best_pair, best_gain, best_mask = (u, v), gain, mask
-        assert best_pair is not None  # uncovered frames have edges
-        chosen.update(best_pair)
-        uncovered = [t for bit, t in enumerate(uncovered) if not best_mask >> bit & 1]
-        trace.append(best_gain)
+        for t in range(g.T):
+            if uncovered >> t & 1:
+                for u, d in enumerate(induced_degrees(g, t, range(n), chosen)):
+                    if d:
+                        near[u] |= 1 << t
+
+        def covers(pair: tuple[int, int]) -> int:
+            u, v = pair
+            return (near[u] | near[v] | pair_frames.get(pair, 0)) & uncovered
+
+        # uncovered frames have edges, so the best pair covers at least one
+        best = max(combinations(range(n), 2), key=lambda pair: covers(pair).bit_count())
+        covered = covers(best)
+        chosen.update(best)
+        uncovered &= ~covered
+        trace.append(covered.bit_count())
     return _report(g, "greedy-cover", chosen, trace=tuple(trace))
 
 

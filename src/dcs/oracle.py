@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceeded, KOrderOutOfRange, Uncoverable
+from .errors import BudgetExceeded, Uncoverable
 from .generators import MinRepInstance, SetCoverInstance
 from .mcss import EdgeSolution, edge_frames, require_connected
 from .objectives import ObjectiveKind, Score, score
@@ -55,11 +55,11 @@ def _neighbour_masks(frame, n: int) -> list[int]:
     return nbr
 
 
-def _chunk_tables(nbrs, n, lo, hi, need_mindeg):
-    """Per-frame induced stats for all subset masks in [lo, hi).
+def _chunk_tables(nbrs, n, lo, hi, min_degree):
+    """Per-frame induced measures for all subset masks in [lo, hi).
 
     Returns (sizes, stats): sizes per mask, then per frame the minimum
-    induced degree (need_mindeg) or the induced edge count.  A member v's
+    induced degree (min_degree) or the induced degree sum.  A member v's
     induced degree is popcount(mask & nbr[v]), exact integer arithmetic.
     The range is a power of two long and starts at a multiple of its
     length, so the masks holding v are every other run of 2^v masks, or
@@ -71,7 +71,7 @@ def _chunk_tables(nbrs, n, lo, hi, need_mindeg):
     stats = []
     for nbr in nbrs:
         # a mask's degree sum is at most n(n-1) <= 650; min degrees start at n
-        acc = np.full(size, n, np.uint8) if need_mindeg else np.zeros(size, np.int16)
+        acc = np.full(size, n, np.uint8) if min_degree else np.zeros(size, np.int16)
         for v in range(n):
             run = 1 << v
             if run < size:
@@ -82,13 +82,11 @@ def _chunk_tables(nbrs, n, lo, hi, need_mindeg):
             else:
                 continue
             deg = np.bitwise_count(members & nbr[v])
-            if need_mindeg:
+            if min_degree:
                 np.minimum(out, deg, out=out)
             else:
                 out += deg
-        if not need_mindeg:
-            acc >>= 1  # each induced edge was counted from both ends
-        elif lo == 0:
+        if min_degree and lo == 0:
             acc[0] = 0  # the empty mask has no member to lower it from n
         stats.append(acc)
     return sizes, stats
@@ -113,11 +111,7 @@ def exact_best(
     if 16 << n > _MAX_TABLE_BYTES:
         raise BudgetExceeded(f"n = {n} needs {16 << n} bytes of subset tables, "
                              f"over the {_MAX_TABLE_BYTES}-byte cap")
-    if kind.name == "kma" and kind.k > g.T:
-        raise KOrderOutOfRange(f"KMA order {kind.k} exceeds frame count {g.T}")
-
-    ratio = kind.name in ("ma", "aa", "kma")
-    need_mindeg = kind.name in ("mm", "am")
+    kind.check_order(g.T)
     nbrs = [_neighbour_masks(frame, n) for frame in g.frames]
 
     full = 1 << n
@@ -125,22 +119,13 @@ def exact_best(
     sizes = np.empty(full, dtype=np.int64)
     for lo in range(0, full, _CHUNK):
         hi = min(lo + _CHUNK, full)
-        sz, stats = _chunk_tables(nbrs, n, lo, hi, need_mindeg)
-        stack = np.stack(stats)  # per-frame min degrees (mm, am) or edge counts
-        if kind.name in ("mm", "ma"):
-            num = np.min(stack, axis=0)
-        elif kind.name == "am":
-            num = np.sum(stack, axis=0)
-        elif kind.name == "aa":
-            num = 2 * np.sum(stack, axis=0)
-        else:  # kma: k-th largest per-frame edge count (shared denominator |S|)
-            num = np.partition(stack, g.T - kind.k, axis=0)[g.T - kind.k]
-        nums[lo:hi] = num
+        sz, stats = _chunk_tables(nbrs, n, lo, hi, kind.min_degree)
+        nums[lo:hi] = kind.aggregate(np.stack(stats))
         sizes[lo:hi] = sz
 
     per_size_max = np.zeros(n + 1, dtype=np.int64)  # every table entry is >= 0
     np.maximum.at(per_size_max, sizes, nums)
-    vals = [Fraction(int(per_size_max[s0]), s0 if ratio else 1) for s0 in range(1, n + 1)]
+    vals = [Fraction(int(per_size_max[s0]), kind.divisor(s0)) for s0 in range(1, n + 1)]
     best_val = max(vals)
     s_star = vals.index(best_val) + 1  # the smallest size reaching it
     target = per_size_max[s_star]
@@ -226,6 +211,19 @@ def exact_mcss(g: TemporalGraph, budget: OracleBudget | None = None) -> EdgeSolu
     raise AssertionError("unreachable: the full union spans connected frames")
 
 
+def _fewest_masks(masks: list[int], accepts) -> int | None:
+    """Size of the smallest subfamily of `masks` whose union `accepts`, by
+    increasing size; None if no union is accepted."""
+    for size in range(len(masks) + 1):
+        for combo in combinations(masks, size):
+            union = 0
+            for mask in combo:
+                union |= mask
+            if accepts(union):
+                return size
+    return None
+
+
 def exact_minrep(mr: MinRepInstance, budget: OracleBudget | None = None) -> int:
     """Minimum |A'| + |B'| covering every superedge, by subset enumeration."""
     budget = budget or OracleBudget()
@@ -240,16 +238,11 @@ def exact_minrep(mr: MinRepInstance, budget: OracleBudget | None = None) -> int:
         if not pairs:
             raise Uncoverable(f"superedge ({i}, {j}) has no edges")
         pair_masks.append(pairs)
-    if not pair_masks:
-        return 0
-    for size in range(0, nv + 1):
-        for combo in combinations(range(nv), size):
-            chosen = 0
-            for i in combo:
-                chosen |= 1 << i
-            if all(any(p & chosen == p for p in pairs) for pairs in pair_masks):
-                return size
-    raise Uncoverable("no subset covers all superedges")
+    size = _fewest_masks([1 << i for i in range(nv)], lambda chosen: all(
+        any(p & chosen == p for p in pairs) for pairs in pair_masks))
+    if size is None:
+        raise Uncoverable("no subset covers all superedges")
+    return size
 
 
 def exact_mis(graph: TemporalGraph, budget: OracleBudget | None = None) -> int:
@@ -294,11 +287,5 @@ def exact_setcover(sc: SetCoverInstance, budget: OracleBudget | None = None) -> 
         reachable |= mask
     if reachable != universe:
         raise Uncoverable("some element belongs to no set")
-    for size in range(0, m + 1):
-        for combo in combinations(range(m), size):
-            got = 0
-            for j in combo:
-                got |= masks[j]
-            if got == universe:
-                return size
-    raise AssertionError("unreachable: all sets cover the universe")
+    return _fewest_masks(masks, lambda got: got == universe)
+

@@ -14,7 +14,6 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Iterator
 
@@ -91,7 +90,8 @@ class TemporalGraph:
 
     def adjacency(self, t: int) -> tuple[frozenset[int], ...]:
         """Neighbor sets of frame t, indexed by vertex (built once, then cached)."""
-        self._check_frame(t)
+        if not (0 <= t < self.T):
+            raise FrameIndexOutOfRange(f"frame {t} not in [0, {self.T})")
         if self._adj is None:
             adj = []
             for frame_edges in self.frames:
@@ -105,10 +105,6 @@ class TemporalGraph:
 
     def max_degree(self, t: int) -> int:
         return max((len(s) for s in self.adjacency(t)), default=0)
-
-    def _check_frame(self, t: int) -> None:
-        if not (0 <= t < self.T):
-            raise FrameIndexOutOfRange(f"frame {t} not in [0, {self.T})")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalGraph):
@@ -167,36 +163,6 @@ class VertexSet:
 
     def __repr__(self) -> str:
         return f"VertexSet({list(self.members)})"
-
-
-@dataclass(frozen=True)
-class FrameStats:
-    """Edge count and minimum degree of one induced frame subgraph."""
-
-    edge_count: int
-    min_degree: int
-
-
-def as_vertex_set(s: VertexSet | Iterable[int]) -> VertexSet:
-    return s if isinstance(s, VertexSet) else VertexSet(s)
-
-
-def check_members(g: TemporalGraph, s: VertexSet) -> None:
-    if s.members and s.members[-1] >= g.n:
-        raise ValueError(
-            f"vertex {s.members[-1]} outside graph range [0, {g.n})"
-        )
-
-
-def induced_stats(g: TemporalGraph, t: int, s: VertexSet | Iterable[int]) -> FrameStats:
-    """Exact edge count and minimum induced degree of frame t restricted to s."""
-    s = as_vertex_set(s)
-    g._check_frame(t)
-    check_members(g, s)
-    if not s.members:
-        raise ValueError("vertex set must be nonempty")
-    degs = induced_degrees(g, t, s.members, set(s.members))
-    return FrameStats(edge_count=sum(degs) // 2, min_degree=min(degs))
 
 
 def induced_degrees(g: TemporalGraph, t: int, vertices: Iterable[int],

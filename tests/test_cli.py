@@ -147,7 +147,7 @@ def test_reports_deterministic_modulo_wall_time(tiny_path):
 CONNECTED = "3 2\n0 0 1\n0 1 2\n0 0 2\n1 0 1\n1 1 2\n"
 
 # Full report bodies, wall_time aside: (file text, digest, {verb: result}),
-# where None marks a verb that exits 2 (the mcss greedy needs connected frames).
+# where None marks a verb that exits 2 (mcss needs connected frames).
 GOLDEN = {
     "tiny": (TINY, "2c38c20d975a84bf5296799cadffedf8db2f00d076307423937fbf94731dced7", {
         ("solve", "--alg", "greedy-ma"): {
@@ -187,6 +187,34 @@ GOLDEN = {
         ("oracle", "--objective", "ma"): {
             "objective": "MA", "per_frame": ["1/2", "1/2"], "score": "1/2",
             "solution": [0, 1],
+        },
+        ("oracle", "--objective", "mm"): {
+            "objective": "MM", "per_frame": ["1", "1"], "score": "1", "solution": [0, 1],
+        },
+        ("oracle", "--objective", "am"): {
+            "objective": "AM", "per_frame": ["1", "1"], "score": "2", "solution": [0, 1],
+        },
+        ("oracle", "--objective", "aa"): {
+            "objective": "AA", "per_frame": ["1", "1"], "score": "2", "solution": [0, 1],
+        },
+        ("oracle", "--objective", "kma", "--k", "1"): {
+            "objective": "KMA(1)", "per_frame": ["1/3", "2/3"], "score": "2/3",
+            "solution": [0, 1, 2],
+        },
+        ("oracle", "--objective", "kma", "--k", "2"): {
+            "objective": "KMA(2)", "per_frame": ["1/2", "1/2"], "score": "1/2",
+            "solution": [0, 1],
+        },
+        ("oracle", "--objective", "mcss"): None,
+        ("eval", "--set", "0,1,2", "--k", "2"): {
+            "frame_densities": ["1/3", "2/3"], "set": [0, 1, 2],
+            "scores": {
+                "AA": {"per_frame": ["2/3", "4/3"], "value": "2"},
+                "AM": {"per_frame": ["0", "1"], "value": "1"},
+                "KMA(2)": {"per_frame": ["1/3", "2/3"], "value": "1/3"},
+                "MA": {"per_frame": ["1/3", "2/3"], "value": "1/3"},
+                "MM": {"per_frame": ["0", "1"], "value": "0"},
+            },
         },
     }),
     "connected": (CONNECTED, "a4357cd046afbfef46b0a2f9cb481b6205295668bba5743347762fda240d4a0f", {
@@ -232,6 +260,37 @@ GOLDEN = {
             "objective": "MA", "per_frame": ["1", "2/3"], "score": "2/3",
             "solution": [0, 1, 2],
         },
+        ("oracle", "--objective", "mm"): {
+            "objective": "MM", "per_frame": ["1", "1"], "score": "1", "solution": [0, 1],
+        },
+        ("oracle", "--objective", "am"): {
+            "objective": "AM", "per_frame": ["2", "1"], "score": "3", "solution": [0, 1, 2],
+        },
+        ("oracle", "--objective", "aa"): {
+            "objective": "AA", "per_frame": ["2", "4/3"], "score": "10/3",
+            "solution": [0, 1, 2],
+        },
+        ("oracle", "--objective", "kma", "--k", "1"): {
+            "objective": "KMA(1)", "per_frame": ["1", "2/3"], "score": "1",
+            "solution": [0, 1, 2],
+        },
+        ("oracle", "--objective", "kma", "--k", "2"): {
+            "objective": "KMA(2)", "per_frame": ["1", "2/3"], "score": "2/3",
+            "solution": [0, 1, 2],
+        },
+        ("oracle", "--objective", "mcss"): {
+            "edges": [[0, 1], [1, 2]], "objective": "mcss", "size": 2,
+        },
+        ("eval", "--set", "0,1,2", "--k", "2"): {
+            "frame_densities": ["1", "2/3"], "set": [0, 1, 2],
+            "scores": {
+                "AA": {"per_frame": ["2", "4/3"], "value": "10/3"},
+                "AM": {"per_frame": ["2", "1"], "value": "3"},
+                "KMA(2)": {"per_frame": ["1", "2/3"], "value": "2/3"},
+                "MA": {"per_frame": ["1", "2/3"], "value": "2/3"},
+                "MM": {"per_frame": ["2", "1"], "value": "1"},
+            },
+        },
     }),
 }
 
@@ -250,7 +309,8 @@ def test_report_bodies_match_golden(tmp_path, name):
             continue
         assert code == EXIT_OK, err
         timed = report["result"] if verb[0] == "bench" else [report["result"]]
-        assert all(isinstance(row["wall_time"], float) for row in timed)
+        if verb[0] != "eval":  # eval runs no solver, so reports no wall_time
+            assert all(isinstance(row["wall_time"], float) for row in timed)
         if verb[0] == "bench":  # the mcss greedy row needs connected frames
             has_mcss = any(row["algorithm"] == "mcss-greedy" for row in timed)
             assert has_mcss == (name == "connected")
@@ -342,6 +402,7 @@ def test_non_positive_budget_is_usage_error(tiny_path, tmp_path, argv):
      "size vector must be strictly decreasing"),
     (("gen", "mis", "--n", "0"), "vertex count must be >= 1"),
     (("gen", "mis", "--n", "4", "--edge-prob", "2"), "probability 2.0 outside [0, 1]"),
+    (("gen", "setcover-mcss", "--elems", "-1"), "need n_elems >= 0, got -1"),
 ])
 def test_flag_bounds_are_usage_errors(tmp_path, argv, message):
     # these bounds depend on no instance, so they fail before any file is written
@@ -351,6 +412,21 @@ def test_flag_bounds_are_usage_errors(tmp_path, argv, message):
     code, _, err = invoke(*argv)
     assert code == EXIT_USAGE and f"usage error: {message}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "--set", ","), "argument --set: need a nonempty list of vertices >= 0, got ','"),
+    (("eval", "--set", "0,-1"), "argument --set: need a nonempty list of vertices >= 0"),
+    (("oracle", "--objective", "ma", "--k", "2"),
+     "oracle --objective kma needs --k, and no other objective takes it"),
+    (("oracle", "--objective", "mcss", "--k", "1"),
+     "oracle --objective kma needs --k, and no other objective takes it"),
+])
+def test_instance_free_flag_errors_are_usage_errors(tiny_path, tmp_path, argv, message):
+    # the flags alone are wrong, so the --in file, good or missing, is never read
+    for path in (tiny_path, str(tmp_path / "missing.dcs")):
+        code, _, err = invoke(*argv, "--in", path)
+        assert code == EXIT_USAGE and f"usage error: {message}" in err
 
 
 def test_k_above_frame_count_is_invalid_instance(tiny_path):
