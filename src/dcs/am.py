@@ -34,14 +34,14 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import BudgetExceeded
-from .temporal import TemporalGraph, VertexSet
+from .temporal import TemporalGraph, VertexSet, as_int
 
 CoreVector = tuple[int, ...]
 Degrees = list[list[int]]  # deg[t][v]: frame-t degree of v inside a vertex set
 
 
 def _validate_vector(g: TemporalGraph, thresholds) -> CoreVector:
-    kv = tuple(int(k) for k in thresholds)
+    kv = tuple(as_int(k, "threshold") for k in thresholds)
     if len(kv) != g.T:
         raise ValueError(f"expected {g.T} thresholds, got {len(kv)}")
     for k in kv:

@@ -79,7 +79,10 @@ _ALGORITHMS = (
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part != ""]
+    try:
+        return [int(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
 
 
 def _vertex_list(text: str) -> list[int]:

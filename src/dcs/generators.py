@@ -154,10 +154,7 @@ def _er_edges(stream: SplitMix64, vertices: Sequence[int], p: float) -> list[Edg
     position and p.
     """
     m = len(vertices)
-    total = m * (m - 1) // 2
-    if total == 0:
-        return []
-    hits = bernoulli_block(stream, total, p)
+    hits = bernoulli_block(stream, m * (m - 1) // 2, p)
     idx = np.nonzero(hits)[0]
     if idx.size == 0:
         return []
@@ -374,12 +371,10 @@ def random_minrep(
     b_parts = tuple(
         tuple(f"b{i}_{j}" for j in range(part_size)) for i in range(parts)
     )
-    stream = substream(seed, 0)
-    edges = []
-    for a in (x for part in a_parts for x in part):
-        for b in (x for part in b_parts for x in part):
-            if stream.bernoulli(edge_prob):
-                edges.append((a, b))
+    a_all = [x for part in a_parts for x in part]
+    b_all = [x for part in b_parts for x in part]
+    hits = bernoulli_block(substream(seed, 0), len(a_all) * len(b_all), edge_prob)
+    edges = [(a_all[i], b_all[j]) for i, j in zip(*np.nonzero(hits.reshape(len(a_all), -1)))]
     if not edges:
         edges.append((a_parts[0][0], b_parts[0][0]))
     return MinRepInstance(a_parts, b_parts, tuple(edges))
@@ -389,12 +384,8 @@ def random_set_cover(n_elems: int, num_sets: int, prob: float, seed: int) -> Set
     """Random set system over n_elems elements, patched to cover everything."""
     if num_sets < 1:
         raise ValueError(f"need num_sets >= 1, got {num_sets}")
-    stream = substream(seed, 0)
-    sets = [set() for _ in range(num_sets)]
-    for j in range(num_sets):
-        for x in range(n_elems):
-            if stream.bernoulli(prob):
-                sets[j].add(x)
+    hits = bernoulli_block(substream(seed, 0), num_sets * n_elems, prob)
+    sets = [set(np.flatnonzero(row).tolist()) for row in hits.reshape(num_sets, -1)]
     for x in range(n_elems):
         if not any(x in s for s in sets):
             sets[x % num_sets].add(x)

@@ -121,7 +121,7 @@ def check_feasible(
     """
     if set(f.y) != set(range(g.n)):
         raise DomainMismatch("y must assign exactly the graph's vertices")
-    if set(f.x) != set(g.union_edges):
+    if f.x.keys() != g.edge_frames.keys():
         raise DomainMismatch("x must assign exactly the union edges")
     value = {f"y{v}": Fraction(val) for v, val in f.y.items()}
     value.update((edge_var(e), Fraction(val)) for e, val in f.x.items())

@@ -103,10 +103,7 @@ def greedy_cover(g: TemporalGraph) -> SolveReport:
         return _report(g, "greedy-cover", range(g.n), trace=(), zero_score=True)
     n = g.n
     # bit t of a mask stands for frame t; pair_frames[(u, v)]: frames holding edge (u, v)
-    pair_frames: dict[tuple[int, int], int] = {}
-    for t, frame in enumerate(g.frames):
-        for e in frame:
-            pair_frames[e] = pair_frames.get(e, 0) | 1 << t
+    pair_frames = {e: sum(1 << t for t in frames) for e, frames in g.edge_frames.items()}
     chosen: set[int] = set()
     uncovered = (1 << g.T) - 1
     trace: list[int] = []

@@ -72,15 +72,6 @@ def require_connected(g: TemporalGraph) -> None:
             raise InfeasibleFrame(f"frame {t} is disconnected")
 
 
-def edge_frames(g: TemporalGraph) -> dict[Edge, list[int]]:
-    """Ascending frame indices holding each union edge, in union-edge order."""
-    out: dict[Edge, list[int]] = {e: [] for e in g.union_edges}
-    for t, frame_edges in enumerate(g.frames):
-        for e in frame_edges:
-            out[e].append(t)
-    return out
-
-
 def check_spanning(g: TemporalGraph, f: EdgeSolution) -> bool:
     """True iff (V, F ∩ E_t) is connected for every frame t."""
     return potential(g, f) == 0
@@ -88,10 +79,10 @@ def check_spanning(g: TemporalGraph, f: EdgeSolution) -> bool:
 
 def potential(g: TemporalGraph, f: EdgeSolution) -> int:
     """Total component count across frames minus T; zero iff F spans every frame."""
-    chosen = set(f.edges)
-    extra = chosen - set(g.union_edges)
+    extra = [e for e in f.edges if e not in g.edge_frames]
     if extra:
-        raise EdgeNotInUnion(f"edges {sorted(extra)} are not in the union edge set")
+        raise EdgeNotInUnion(f"edges {extra} are not in the union edge set")
+    chosen = set(f.edges)
     return sum(
         component_count(g.n, [e for e in frame_edges if e in chosen])
         for frame_edges in g.frames
@@ -118,8 +109,7 @@ def mcss_greedy_run(g: TemporalGraph) -> GreedyRun:
     """
     n, T = g.n, g.T
     require_connected(g)
-    union = g.union_edges
-    frames_of = edge_frames(g)
+    frames_of = g.edge_frames
 
     parents = [list(range(n)) for _ in range(T)]
     rho = n * T - T
@@ -133,10 +123,10 @@ def mcss_greedy_run(g: TemporalGraph) -> GreedyRun:
             phase_boundary = len(picks)
         best_edge: Edge | None = None
         best_gain = 0
-        for e in union:
+        for e, frames in frames_of.items():
             u, v = e
             gain = 0
-            for t in frames_of[e]:
+            for t in frames:
                 if _find(parents[t], u) != _find(parents[t], v):
                     gain += 1
             if gain > best_gain:

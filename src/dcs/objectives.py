@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptySolution, KOrderOutOfRange
-from .temporal import TemporalGraph, VertexSet, induced_degrees
+from .temporal import TemporalGraph, VertexSet, as_int, induced_degrees
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ class ObjectiveKind:
         if self.name not in ("mm", "ma", "am", "aa", "kma"):
             raise ValueError(f"unknown objective {self.name!r}")
         if self.name == "kma":
-            if self.k is None or self.k < 1:
+            object.__setattr__(self, "k", as_int(self.k, "KMA order k"))
+            if self.k < 1:
                 raise ValueError("KMA order k must be a positive integer")
         elif self.k is not None:
             raise ValueError(f"objective {self.name!r} takes no order")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, Uncoverable
 from .generators import MinRepInstance, SetCoverInstance
-from .mcss import EdgeSolution, edge_frames, require_connected
+from .mcss import EdgeSolution, require_connected
 from .objectives import ObjectiveKind, Score, score
 from .temporal import TemporalGraph, VertexSet
 
@@ -156,7 +156,7 @@ def exact_mcss(g: TemporalGraph, budget: OracleBudget | None = None) -> EdgeSolu
     if n == 1:
         return EdgeSolution(())
 
-    frames_of = list(edge_frames(g).values())
+    frames_of = list(g.edge_frames.values())
     # avail[t][i]: edges at index >= i usable by frame t; max_gain[i]: best
     # per-pick merge count in the suffix from i.
     avail = [[0] * (m + 1) for _ in range(T)]

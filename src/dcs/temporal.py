@@ -1,7 +1,8 @@
 """Graph sequences on a shared vertex set, and the .dcs text format.
 
 A temporal graph is a sequence of T simple undirected graphs (frames)
-over the same vertices 0..n-1.  The on-disk format is plain text:
+over the same vertices 0..n-1, indexed by two cached views, `adjacency`
+and `edge_frames`.  The on-disk format is plain text:
 
     line 1:             "<n> <T>"
     every other line:   "<t> <u> <v>"   one edge of frame t, 0-based
@@ -15,7 +16,8 @@ produce byte-identical files.
 from __future__ import annotations
 
 from operator import index
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     DuplicateEdge,
@@ -32,21 +34,22 @@ Edge = tuple[int, int]
 class TemporalGraph:
     """Immutable sequence of frames over vertices 0..n-1.
 
-    Frames are stored as sorted tuples of normalized edges (u < v).  The
-    per-frame adjacency index and the union edge set are derived views,
-    computed on first use and cached.  The frames never change after
-    construction, so a concurrent first use can only compute the same
-    value twice.
+    Frames are stored as sorted tuples of normalized edges (u < v).  Two
+    derived views are computed on first use and cached: the per-frame
+    adjacency index (`adjacency`) and the frames holding each union edge
+    (`edge_frames`).  The frames never change after construction, so a
+    concurrent first use can only compute the same value twice.
     """
 
-    __slots__ = ("n", "frames", "_adj", "_union")
+    __slots__ = ("n", "frames", "_adj", "_edge_frames")
 
     def __init__(self, n: int, frames: Iterable[Iterable[Edge]]):
         frames = tuple(frames)
-        self._build(n, len(frames), _constructed_records(frames))
+        records = ((0, t, u, v) for t, frame in enumerate(frames) for u, v in frame)
+        self._build(n, len(frames), records)
 
     def _build(self, n: int, t_count: int,
-               records: Iterable[tuple[int, int, int, int]]) -> None:
+               records: Iterable[tuple[int, int, object, object]]) -> None:
         """Validate (line, t, u, v) edge records and store the frames.
 
         The one edge check on every path into a graph; ``line`` is the
@@ -58,6 +61,13 @@ class TemporalGraph:
             raise ValueError("at least one frame is required")
         seen: list[set[Edge]] = [set() for _ in range(t_count)]
         for line, t, u, v in records:
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                raise MalformedEdgeLine(
+                    f"non-integer vertex label in edge ({u!r}, {v!r}) in frame {t}",
+                    line=line,
+                ) from None
             if not (0 <= u < n and 0 <= v < n):
                 raise EdgeOutOfRange(
                     f"edge ({u}, {v}) outside vertex range [0, {n}) in frame {t}",
@@ -72,21 +82,28 @@ class TemporalGraph:
         self.n = n
         self.frames = tuple(tuple(sorted(edges)) for edges in seen)
         self._adj: tuple[tuple[frozenset[int], ...], ...] | None = None
-        self._union: tuple[Edge, ...] | None = None
+        self._edge_frames: Mapping[Edge, tuple[int, ...]] | None = None
 
     @property
     def T(self) -> int:
         return len(self.frames)
 
     @property
+    def edge_frames(self) -> Mapping[Edge, tuple[int, ...]]:
+        """Read-only map of each union edge, in sorted order, to its ascending frames."""
+        if self._edge_frames is None:
+            frames_of: dict[Edge, tuple[int, ...]] = {}
+            for t, frame_edges in enumerate(self.frames):
+                only_t = (t,)  # () + only_t is only_t: one-frame edges share it
+                for e in frame_edges:
+                    frames_of[e] = frames_of.get(e, ()) + only_t
+            self._edge_frames = MappingProxyType({e: frames_of[e] for e in sorted(frames_of)})
+        return self._edge_frames
+
+    @property
     def union_edges(self) -> tuple[Edge, ...]:
-        """Sorted union of all frame edge sets (computed once, then cached)."""
-        if self._union is None:
-            merged: set[Edge] = set()
-            for frame_edges in self.frames:
-                merged.update(frame_edges)
-            self._union = tuple(sorted(merged))
-        return self._union
+        """Sorted union of all frame edge sets: the keys of `edge_frames`."""
+        return tuple(self.edge_frames)
 
     def adjacency(self, t: int) -> tuple[frozenset[int], ...]:
         """Neighbor sets of frame t, indexed by vertex (built once, then cached)."""
@@ -118,19 +135,12 @@ class TemporalGraph:
         return f"TemporalGraph(n={self.n}, T={self.T})"
 
 
-def _constructed_records(frames: tuple[Iterable[Edge], ...]
-                         ) -> Iterator[tuple[int, int, int, int]]:
-    """(0, t, u, v) for each constructor edge; labels must be integers."""
-    for t, frame in enumerate(frames):
-        for u, v in frame:
-            try:
-                a, b = index(u), index(v)
-            except TypeError:
-                raise MalformedEdgeLine(
-                    f"non-integer vertex label in edge ({u!r}, {v!r}) in frame {t}",
-                    line=0,
-                ) from None
-            yield 0, t, a, b
+def as_int(value: object, noun: str) -> int:
+    """value as an int, via operator.index; ValueError naming it otherwise."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{noun} must be an integer, got {value!r}") from None
 
 
 class VertexSet:
@@ -139,7 +149,7 @@ class VertexSet:
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[int]):
-        ms = tuple(sorted(set(members)))
+        ms = tuple(sorted({as_int(v, "vertex") for v in members}))
         if ms and ms[0] < 0:
             raise ValueError(f"negative vertex {ms[0]}")
         self.members = ms

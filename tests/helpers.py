@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from dcs import TemporalGraph, VertexSet
+from dcs.rng import substream
 
 
 def random_temporal(rng: random.Random, n: int, t_count: int,
@@ -183,3 +184,32 @@ def naive_lp_check(g: TemporalGraph, f) -> bool:
     return all(
         z <= sum((x[e] for e in g.frames[t]), Fraction(0)) for t in range(g.T)
     )
+
+
+def naive_edge_frames(g: TemporalGraph) -> dict:
+    """Ascending frames holding each union edge, by testing every union
+    edge against every frame."""
+    union = sorted({e for frame in g.frames for e in frame})
+    return {e: tuple(t for t, frame in enumerate(g.frames) if e in frame)
+            for e in union}
+
+
+def naive_minrep_edges(parts: int, part_size: int, edge_prob: float, seed: int) -> list:
+    """random_minrep's edges by one scalar coin per A x B pair, row-major,
+    with its fallback edge when no coin comes up."""
+    a_all = [f"a{i}_{j}" for i in range(parts) for j in range(part_size)]
+    b_all = [f"b{i}_{j}" for i in range(parts) for j in range(part_size)]
+    stream = substream(seed, 0)
+    edges = [(a, b) for a in a_all for b in b_all if stream.bernoulli(edge_prob)]
+    return edges or [(a_all[0], b_all[0])]
+
+
+def naive_set_cover_sets(n_elems: int, num_sets: int, prob: float, seed: int) -> list:
+    """random_set_cover's sets by one scalar coin per (set, element),
+    row-major, then patched so every element is covered."""
+    stream = substream(seed, 0)
+    sets = [{x for x in range(n_elems) if stream.bernoulli(prob)} for _ in range(num_sets)]
+    for x in range(n_elems):
+        if not any(x in s for s in sets):
+            sets[x % num_sets].add(x)
+    return sets

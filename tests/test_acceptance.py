@@ -9,6 +9,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -277,7 +278,7 @@ def test_criterion_9_determinism():
                 code = cli_run(["--threads", threads] + argv + ["--out", path],
                                stdout=io.StringIO(), stderr=io.StringIO())
                 assert code == 0
-                blobs.setdefault(name, []).append(open(path, "rb").read())
+                blobs.setdefault(name, []).append(Path(path).read_bytes())
         for name, (a, b) in blobs.items():
             assert a == b, f"{name} differs across thread counts"
     _verdict(9, True, "seeded generators byte-identical across runs and threads 1/8", t0)

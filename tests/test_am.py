@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dcs import (
@@ -39,6 +40,16 @@ def test_core_vector_validation():
         core(K4_PATH, (4, 0))
     with pytest.raises(ValueError):
         core(K4_PATH, (-1, 0))
+
+
+@pytest.mark.parametrize("bad", [1.9, "2", 2.0, None])
+def test_core_rejects_non_integer_thresholds(bad):
+    with pytest.raises(ValueError, match=f"threshold must be an integer, got {bad!r}"):
+        core(K4_PATH, (bad, 0))
+
+
+def test_core_accepts_integer_like_thresholds():
+    assert core(K4_PATH, (np.int64(3), True)) == core(K4_PATH, (3, 1))
 
 
 def test_core_order_independent():

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +56,7 @@ def test_lp_check_and_export(tmp_path, tiny_path):
     out = str(tmp_path / "m.lp")
     code, report, _ = invoke("lp", "export", "--in", tiny_path, "--out", out)
     assert code == EXIT_OK
-    text = open(out).read()
+    text = Path(out).read_text()
     assert text.startswith("Maximize\n") and text.endswith("End\n")
     assert report["result"]["variables"] == 6
 
@@ -96,7 +97,7 @@ def test_gen_every_generator(tmp_path):
 
     gen("gap", "--n", "5", "--out", str(tmp_path / "a.dcs"))
     rep = gen("minrep", "--seed", "3", "--out", str(tmp_path / "b.dcs"))
-    names = open(rep["names_out"]).read().splitlines()
+    names = Path(rep["names_out"]).read_text().splitlines()
     assert names[0].split() == ["0", "a0_0"]
     assert any(line.endswith(" u") for line in names)
     gen("mis", "--n", "6", "--edge-prob", "0.5", "--seed", "3",
@@ -329,7 +330,7 @@ def test_generation_identical_across_thread_counts(tmp_path):
         )
         assert code == EXIT_OK
         paths.append(out)
-    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
 
 def test_exit_codes(tiny_path, tmp_path):
@@ -403,6 +404,11 @@ def test_non_positive_budget_is_usage_error(tiny_path, tmp_path, argv):
     (("gen", "mis", "--n", "0"), "vertex count must be >= 1"),
     (("gen", "mis", "--n", "4", "--edge-prob", "2"), "probability 2.0 outside [0, 1]"),
     (("gen", "setcover-mcss", "--elems", "-1"), "need n_elems >= 0, got -1"),
+    # p is checked even when no coin is drawn
+    (("gen", "setcover-mcss", "--elems", "0", "--prob", "2"), "probability 2.0 outside [0, 1]"),
+    (("gen", "mis", "--n", "1", "--edge-prob", "2"), "probability 2.0 outside [0, 1]"),
+    (("gen", "recursive", "--nvec", "a", "--pvec", "1"),
+     "argument --nvec: not a comma list of integers: 'a'"),
 ])
 def test_flag_bounds_are_usage_errors(tmp_path, argv, message):
     # these bounds depend on no instance, so they fail before any file is written
@@ -421,6 +427,7 @@ def test_flag_bounds_are_usage_errors(tmp_path, argv, message):
      "oracle --objective kma needs --k, and no other objective takes it"),
     (("oracle", "--objective", "mcss", "--k", "1"),
      "oracle --objective kma needs --k, and no other objective takes it"),
+    (("eval", "--set", "a"), "argument --set: not a comma list of integers: 'a'"),
 ])
 def test_instance_free_flag_errors_are_usage_errors(tiny_path, tmp_path, argv, message):
     # the flags alone are wrong, so the --in file, good or missing, is never read
@@ -441,7 +448,7 @@ def test_solve_out_writes_solution_files(tmp_path, tiny_path):
     code, _, _ = invoke("solve", "--alg", "composite-ma", "--in", tiny_path,
                         "--out", vout)
     assert code == EXIT_OK
-    assert open(vout).read() == "0\n1\n"
+    assert Path(vout).read_text() == "0\n1\n"
     conn = str(tmp_path / "conn.dcs")
     with open(conn, "w") as fh:
         fh.write("3 2\n0 0 1\n0 1 2\n0 0 2\n1 0 1\n1 1 2\n")
@@ -449,4 +456,4 @@ def test_solve_out_writes_solution_files(tmp_path, tiny_path):
     code, _, _ = invoke("solve", "--alg", "mcss-greedy", "--in", conn,
                         "--out", eout)
     assert code == EXIT_OK
-    assert open(eout).read() == "0 1\n1 2\n"
+    assert Path(eout).read_text() == "0 1\n1 2\n"

@@ -38,6 +38,7 @@ from dcs import (
     serialize,
 )
 from dcs.generators import _ceil_root
+from helpers import naive_minrep_edges, naive_set_cover_sets
 
 
 def test_gap_instance_construction():
@@ -260,3 +261,21 @@ def test_random_minrep_always_has_a_superedge():
     for seed in range(6):
         mr = random_minrep(2, 1, 0.01, seed)
         assert mr.superedges()
+
+
+@pytest.mark.parametrize("size", [(1, 1), (1, 3), (2, 2), (3, 2), (2, 5)])
+def test_random_minrep_matches_scalar_coins(size):
+    parts, part_size = size
+    for seed in range(40):
+        for p in (0.0, 0.05, 0.5, 0.9, 1.0):
+            mr = random_minrep(parts, part_size, p, seed)
+            assert list(mr.edges) == naive_minrep_edges(parts, part_size, p, seed)
+
+
+@pytest.mark.parametrize("size", [(0, 1), (1, 1), (3, 3), (5, 2), (2, 6)])
+def test_random_set_cover_matches_scalar_coins(size):
+    n_elems, num_sets = size
+    for seed in range(40):
+        for p in (0.0, 0.2, 0.5, 1.0):
+            sc = random_set_cover(n_elems, num_sets, p, seed)
+            assert [set(s) for s in sc.sets] == naive_set_cover_sets(n_elems, num_sets, p, seed)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dcs import (
@@ -62,6 +63,19 @@ def test_kma_order_validation():
         KMA(0)
     with pytest.raises(ValueError):
         ObjectiveKind("ma", k=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", 1.0])
+def test_kma_order_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match=f"KMA order k must be an integer, got {bad!r}"):
+        ObjectiveKind("kma", bad)
+
+
+def test_kma_order_accepts_integer_like_values():
+    for k in (True, np.int64(1), np.int32(1)):
+        kind = KMA(k)
+        assert type(kind.k) is int and kind == KMA(1) and repr(kind) == "KMA(1)"
+        assert score(TINY, [0, 1], kind) == score(TINY, [0, 1], KMA(1))
 
 
 def test_kma_of_t_equals_ma():

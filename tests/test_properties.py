@@ -13,6 +13,7 @@ from dcs import (
     KMA,
     MA,
     MM,
+    EdgeNotInUnion,
     EdgeOutOfRange,
     EdgeSolution,
     FractionalSolution,
@@ -30,7 +31,13 @@ from dcs import (
     serialize,
     threshold_grid,
 )
-from helpers import naive_am_search, naive_best, naive_lp_check, naive_value
+from helpers import (
+    naive_am_search,
+    naive_best,
+    naive_edge_frames,
+    naive_lp_check,
+    naive_value,
+)
 
 # Seeded and database-free, so every run draws the same examples.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -111,6 +118,27 @@ def test_check_spanning_is_zero_potential(data):
     chosen = data.draw(st.sets(st.sampled_from(g.union_edges))) if g.union_edges else set()
     f = EdgeSolution(chosen)
     assert check_spanning(g, f) == (potential(g, f) == 0)
+
+
+@PROPERTY
+@given(st.data())
+def test_edge_frames_match_naive_map(data):
+    g = data.draw(graphs())
+    want = naive_edge_frames(g)
+    assert list(g.edge_frames.items()) == list(want.items())  # same order too
+    assert g.union_edges == tuple(g.edge_frames)
+    with pytest.raises(TypeError):
+        g.edge_frames[(0, 1)] = (0,)
+    # edges outside the union are named, sorted, by potential
+    pairs = list(combinations(range(g.n + 2), 2))
+    chosen = data.draw(st.sets(st.sampled_from(pairs)))
+    foreign = sorted(e for e in chosen if e not in want)
+    if foreign:
+        with pytest.raises(EdgeNotInUnion) as info:
+            potential(g, EdgeSolution(chosen))
+        assert str(info.value) == f"edges {foreign} are not in the union edge set"
+    else:
+        assert potential(g, EdgeSolution(chosen)) >= 0
 
 
 @PROPERTY

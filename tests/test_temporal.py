@@ -168,6 +168,18 @@ def test_union_edges():
     assert g.union_edges == ((0, 1), (1, 2))
 
 
+@pytest.mark.parametrize("bad", [0.5, "1", 1.0])
+def test_vertex_set_rejects_non_integer_members(bad):
+    with pytest.raises(ValueError, match=f"vertex must be an integer, got {bad!r}"):
+        VertexSet([0, bad])
+
+
+def test_vertex_set_accepts_integer_like_members():
+    s = VertexSet([np.int64(2), True, 0])
+    assert s.members == (0, 1, 2)
+    assert all(type(v) is int for v in s)
+
+
 def test_vertex_set_canonical():
     s = VertexSet([2, 0, 2, 1])
     assert s.members == (0, 1, 2)
