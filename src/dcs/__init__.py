@@ -22,10 +22,13 @@ from .errors import (
     KOrderOutOfRange,
     MalformedHeader,
     NoSuperedges,
+    NotSingleFrame,
     NotUniform,
+    NotUtf8,
     ParseError,
     SelfLoop,
     Uncoverable,
+    VertexOutOfRange,
 )
 from .generators import (
     MinRepInstance,

@@ -31,13 +31,15 @@ keeps the degrees handed on exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded
 from .temporal import TemporalGraph, VertexSet, as_int
 
 CoreVector = tuple[int, ...]
 Degrees = list[list[int]]  # deg[t][v]: frame-t degree of v inside a vertex set
+
+_MAX_VECTORS = 10**8  # default cap on threshold vectors peeled per search
 
 
 def _validate_vector(g: TemporalGraph, thresholds) -> CoreVector:
@@ -101,19 +103,19 @@ def core(g: TemporalGraph, thresholds) -> VertexSet:
     return VertexSet(alive)
 
 
-def _search(
-    g: TemporalGraph,
-    values_per_frame: list[tuple[int, ...]],
-    max_vectors: int | None,
-) -> tuple[VertexSet, int, CoreVector]:
+def _search(g: TemporalGraph, grid: Sequence[int],
+            max_vectors: int) -> tuple[VertexSet, int]:
     """Lexicographic DFS over threshold vectors, maximizing the sum.
 
-    values_per_frame lists the candidate thresholds (ascending, starting
-    at 0) for each frame.  Returns the first vector attaining the best sum.
+    Frame t's candidates are the values of `grid` (ascending, starting at
+    0) up to frame t's maximum degree.  Returns the core of the first
+    vector attaining the best sum, and that sum; the cap counts vectors
+    actually peeled and raises BudgetExceeded past it.
     """
     t_count = g.T
+    values_per_frame = [[k for k in grid if k <= cap]
+                        for cap in map(g.max_degree, range(t_count))]
     best_value = -1
-    best_vec: CoreVector = (0,) * t_count
     best_core: frozenset[int] = frozenset(range(g.n))
     empties: list[CoreVector] = []
     visited = 0
@@ -134,7 +136,7 @@ def _search(
     def descend(
         t: int, prefix: tuple[int, ...], alive: frozenset[int], deg: Degrees
     ) -> None:
-        nonlocal best_value, best_vec, best_core, visited
+        nonlocal best_value, best_core, visited
         if sum(prefix) + suffix_max[t] <= best_value:
             return
         for k in values_per_frame[t]:
@@ -142,7 +144,7 @@ def _search(
             if dominated(vec):
                 break
             visited += 1
-            if max_vectors is not None and visited > max_vectors:
+            if visited > max_vectors:
                 raise BudgetExceeded(
                     f"threshold-vector search exceeded cap {max_vectors}"
                 )
@@ -154,25 +156,21 @@ def _search(
             if t == t_count - 1:
                 value = sum(prefix) + k
                 if value > best_value:
-                    best_value, best_vec, best_core = value, vec, alive
+                    best_value, best_core = value, alive
             else:
                 descend(t + 1, prefix + (k,), alive, deg)
 
     descend(0, (), frozenset(range(g.n)), _full_degrees(g))
-    return VertexSet(best_core), best_value, best_vec
+    return VertexSet(best_core), best_value
 
 
-def exact_am(
-    g: TemporalGraph, max_vectors: int = 10**8
-) -> tuple[VertexSet, int]:
+def exact_am(g: TemporalGraph, max_vectors: int = _MAX_VECTORS) -> tuple[VertexSet, int]:
     """Exact optimum of the degree-sum objective for small T.
 
-    Enumerates k_i in [0, maxdeg(frame i)] with dominance pruning; the cap
-    counts vectors actually peeled and raises BudgetExceeded past it.
+    Enumerates k_i in [0, maxdeg(frame i)] with dominance pruning, under
+    the peel cap `max_vectors`.
     """
-    values = [tuple(range(g.max_degree(t) + 1)) for t in range(g.T)]
-    solution, value, _ = _search(g, values, max_vectors)
-    return solution, value
+    return _search(g, range(g.n), max_vectors)
 
 
 def threshold_grid(eps, limit: int) -> tuple[int, ...]:
@@ -205,13 +203,7 @@ def fpt_approx_am(g: TemporalGraph, eps) -> tuple[VertexSet, int]:
     """Grid-restricted threshold search: value >= exact / (1 + eps).
 
     Rounding each entry of an optimal vector down to the grid keeps its
-    core nonempty and loses at most a (1+eps) factor per entry.
+    core nonempty and loses at most a (1+eps) factor per entry.  Runs
+    under exact_am's default peel cap.
     """
-    grid = threshold_grid(eps, max(g.n - 1, 0))
-    per_frame = []
-    for t in range(g.T):
-        cap = g.max_degree(t)
-        usable = tuple(v for v in grid if v <= cap)
-        per_frame.append(usable if usable else (0,))
-    solution, value, _ = _search(g, per_frame, None)
-    return solution, value
+    return _search(g, threshold_grid(eps, g.n - 1), _MAX_VECTORS)

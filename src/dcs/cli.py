@@ -11,7 +11,8 @@ Subcommands wrap the library one verb per area:
 
 Reports are JSON on stdout (scores as exact rational strings "p/q");
 human diagnostics go to stderr.  Exit codes: 0 success, 1 usage error,
-2 infeasible or invalid instance, 3 enumeration budget exceeded.
+2 infeasible or invalid instance, 3 enumeration budget exceeded; any
+other exception is a bug and propagates as a traceback.
 Identical invocations produce byte-identical reports apart from the
 wall_time fields; the --threads flag is accepted for symmetry with
 parallel deployments and never affects results.
@@ -239,7 +240,9 @@ def _run_gen(args) -> dict:
                     args.parts, args.part_size, args.edge_prob, args.seed))
             elif args.generator == "mis":
                 base = generators.random_graph(args.n, args.edge_prob, args.seed)
-                if base.n > 1 and len(base.frames[0]) == base.n * (base.n - 1) // 2:
+                if base.n < 2:  # one vertex is always a complete graph
+                    raise _UsageError(f"gen mis needs --n >= 2, got {args.n}")
+                if len(base.frames[0]) == base.n * (base.n - 1) // 2:
                     # random draw came out complete: drop edge (0, 1) to stay reducible
                     base = temporal.TemporalGraph(base.n, [base.frames[0][1:]])
                 g = generators.reduce_mis_to_am(base)
@@ -435,7 +438,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=stderr)
         return EXIT_BUDGET
-    except (DcsError, OSError, ValueError) as exc:
+    except (DcsError, OSError) as exc:
         print(f"invalid instance: {exc}", file=stderr)
         return EXIT_INVALID
     report = {"command": list(argv), "status": "ok"}

@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package.
 
-Every error raised on purpose derives from :class:`DcsError`, so callers
-(including the CLI) can distinguish "bad input / infeasible instance"
-from "search budget exhausted" without string matching.
+Every error an instance can cause (a bad file, an infeasible or
+malformed instance, an exhausted search budget) derives from
+:class:`DcsError`, so callers (including the CLI) can tell them apart
+without string matching.  Bad argument values to library functions
+raise plain ValueError or TypeError instead; the classes below that are
+also ValueErrors keep ``except ValueError`` callers working.
 """
 
 
@@ -16,6 +19,10 @@ class ParseError(DcsError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class NotUtf8(ParseError):
+    pass
 
 
 class MalformedHeader(ParseError):
@@ -40,6 +47,14 @@ class DuplicateEdge(ParseError):
 
 class FrameIndexOutOfRange(DcsError, IndexError):
     pass
+
+
+class VertexOutOfRange(DcsError, ValueError):
+    """A solution names a vertex outside the graph's vertex range."""
+
+
+class NotSingleFrame(DcsError, ValueError):
+    """An operation defined on one graph was given a multi-frame sequence."""
 
 
 class EmptySolution(DcsError):

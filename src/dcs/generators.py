@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CompleteGraph, NoSuperedges, NotUniform, Uncoverable
+from .errors import CompleteGraph, NoSuperedges, NotSingleFrame, NotUniform, Uncoverable
 from .rng import SplitMix64, bernoulli_block, substream
 from .temporal import Edge, TemporalGraph
 
@@ -69,16 +69,15 @@ class MinRepInstance:
     def b_vertices(self) -> tuple[str, ...]:
         return tuple(x for part in self.b_parts for x in part)
 
-    def superedges(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (i, j) part pairs joined by at least one edge."""
+    def superedges(self) -> dict[tuple[int, int], tuple[tuple[str, str], ...]]:
+        """Each (i, j) part pair joined by an edge, in sorted order, mapped to
+        the edges joining them, in instance order."""
         part_of_a = {x: i for i, part in enumerate(self.a_parts) for x in part}
         part_of_b = {x: j for j, part in enumerate(self.b_parts) for x in part}
-        return tuple(sorted({(part_of_a[a], part_of_b[b]) for a, b in self.edges}))
-
-    def superedge_edges(self, i: int, j: int) -> tuple[tuple[str, str], ...]:
-        """The constituent edges of superedge (i, j)."""
-        a_part, b_part = set(self.a_parts[i]), set(self.b_parts[j])
-        return tuple(e for e in self.edges if e[0] in a_part and e[1] in b_part)
+        groups: dict[tuple[int, int], list[tuple[str, str]]] = {}
+        for a, b in self.edges:
+            groups.setdefault((part_of_a[a], part_of_b[b]), []).append((a, b))
+        return {pair: tuple(groups[pair]) for pair in sorted(groups)}
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,6 @@ def _er_edges(stream: SplitMix64, vertices: Sequence[int], p: float) -> list[Edg
     m = len(vertices)
     hits = bernoulli_block(stream, m * (m - 1) // 2, p)
     idx = np.nonzero(hits)[0]
-    if idx.size == 0:
-        return []
     row_sizes = m - 1 - np.arange(m - 1)
     starts = np.concatenate(([0], np.cumsum(row_sizes)))[:-1]
     rows = np.searchsorted(starts, idx, side="right") - 1
@@ -190,9 +187,9 @@ def reduce_minrep_to_ma(mr: MinRepInstance) -> tuple[TemporalGraph, dict[int, st
     labels = list(mr.a_vertices) + list(mr.b_vertices) + ["u", "v"]
     index = {lab: i for i, lab in enumerate(labels)}
     u_idx, v_idx = index["u"], index["v"]
-    frames: list[list[Edge]] = [[(u_idx, v_idx)]]
-    for i, j in supers:
-        frames.append([(index[a], index[b]) for a, b in mr.superedge_edges(i, j)])
+    frames = [[(u_idx, v_idx)]] + [
+        [(index[a], index[b]) for a, b in edges] for edges in supers.values()
+    ]
     g = TemporalGraph(len(labels), frames)
     return g, dict(enumerate(labels))
 
@@ -204,7 +201,7 @@ def reduce_mis_to_am(graph: TemporalGraph) -> TemporalGraph:
     non-neighbors form a star centered at v.
     """
     if graph.T != 1:
-        raise ValueError("input must be a single-frame graph")
+        raise NotSingleFrame("input must be a single-frame graph")
     n = graph.n
     adj = graph.adjacency(0)
     if all(len(adj[v]) == n - 1 for v in range(n)):
@@ -316,7 +313,7 @@ def reduce_setcover_to_mcss(sc: SetCoverInstance) -> tuple[TemporalGraph, dict[i
     m = len(sc.sets)
     if m == 0:
         raise ValueError("need at least one set")
-    covered = frozenset().union(*sc.sets) if sc.sets else frozenset()
+    covered = frozenset().union(*sc.sets)
     if len(covered) < sc.n_elems:
         missing = sorted(set(range(sc.n_elems)) - covered)
         raise Uncoverable(f"elements {missing} belong to no set")

@@ -163,7 +163,6 @@ def partition_blocks(n: int, t_count: int) -> list[tuple[int, ...]]:
     """Contiguous index blocks, r = min(n, 2*ceil(ln T)) of them (at least 1),
     with sizes differing by at most one."""
     r = min(n, 2 * math.ceil(math.log(t_count))) if t_count > 1 else 1
-    r = max(1, r)
     base, extra = divmod(n, r)
     blocks = []
     start = 0

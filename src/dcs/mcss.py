@@ -116,11 +116,8 @@ def mcss_greedy_run(g: TemporalGraph) -> GreedyRun:
     picks: list[Edge] = []
     gains: list[int] = []
     potentials: list[int] = []
-    phase_boundary: int | None = None
 
     while rho > 0:
-        if phase_boundary is None and rho <= n:
-            phase_boundary = len(picks)
         best_edge: Edge | None = None
         best_gain = 0
         for e, frames in frames_of.items():
@@ -142,12 +139,12 @@ def mcss_greedy_run(g: TemporalGraph) -> GreedyRun:
         gains.append(best_gain)
         potentials.append(rho)
 
-    if phase_boundary is None:
-        phase_boundary = len(picks)
+    # the potential before pick i is ([n*T - T] + potentials)[i]; it ends at 0
+    before = [n * T - T] + potentials
     return GreedyRun(
         solution=EdgeSolution(picks),
         picks=tuple(picks),
         gains=tuple(gains),
         potentials=tuple(potentials),
-        phase_boundary=phase_boundary,
+        phase_boundary=next(i for i, p in enumerate(before) if p <= n),
     )

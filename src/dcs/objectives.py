@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptySolution, KOrderOutOfRange
+from .errors import EmptySolution, KOrderOutOfRange, VertexOutOfRange
 from .temporal import TemporalGraph, VertexSet, as_int, induced_degrees
 
 
@@ -104,7 +104,7 @@ def score(g: TemporalGraph, s: VertexSet | Iterable[int], kind: ObjectiveKind) -
     if not s.members:
         raise EmptySolution("solution set is empty")
     if s.members[-1] >= g.n:
-        raise ValueError(f"vertex {s.members[-1]} outside graph range [0, {g.n})")
+        raise VertexOutOfRange(f"vertex {s.members[-1]} outside graph range [0, {g.n})")
     kind.check_order(g.T)
 
     inside = set(s.members)

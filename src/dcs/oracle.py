@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceeded, Uncoverable
+from .errors import BudgetExceeded, NotSingleFrame, Uncoverable
 from .generators import MinRepInstance, SetCoverInstance
 from .mcss import EdgeSolution, require_connected
 from .objectives import ObjectiveKind, Score, score
@@ -153,8 +153,6 @@ def exact_mcss(g: TemporalGraph, budget: OracleBudget | None = None) -> EdgeSolu
         )
     n, T = g.n, g.T
     require_connected(g)
-    if n == 1:
-        return EdgeSolution(())
 
     frames_of = list(g.edge_frames.values())
     # avail[t][i]: edges at index >= i usable by frame t; max_gain[i]: best
@@ -165,11 +163,6 @@ def exact_mcss(g: TemporalGraph, budget: OracleBudget | None = None) -> EdgeSolu
         for t in range(T):
             avail[t][i] = avail[t][i + 1] + (t in frames_of[i])
         max_gain[i] = max(max_gain[i + 1], len(frames_of[i]))
-
-    def search(k: int) -> list[int] | None:
-        comps = [list(range(n)) for _ in range(T)]
-        counts = [n] * T
-        return _mcss_dfs(0, k, comps, counts, n * T - T, [])
 
     def _mcss_dfs(start, remaining, comps, counts, rho, chosen):
         if rho == 0:
@@ -205,15 +198,16 @@ def exact_mcss(g: TemporalGraph, budget: OracleBudget | None = None) -> EdgeSolu
         return None
 
     for k in range(n - 1, m + 1):
-        found = search(k)
+        comps = [list(range(n)) for _ in range(T)]
+        found = _mcss_dfs(0, k, comps, [n] * T, n * T - T, [])
         if found is not None:
             return EdgeSolution(union[i] for i in found)
     raise AssertionError("unreachable: the full union spans connected frames")
 
 
-def _fewest_masks(masks: list[int], accepts) -> int | None:
+def _fewest_masks(masks: list[int], accepts) -> int:
     """Size of the smallest subfamily of `masks` whose union `accepts`, by
-    increasing size; None if no union is accepted."""
+    increasing size; the whole family's union must be accepted."""
     for size in range(len(masks) + 1):
         for combo in combinations(masks, size):
             union = 0
@@ -221,7 +215,7 @@ def _fewest_masks(masks: list[int], accepts) -> int | None:
                 union |= mask
             if accepts(union):
                 return size
-    return None
+    raise AssertionError("the whole family's union is not accepted")
 
 
 def exact_minrep(mr: MinRepInstance, budget: OracleBudget | None = None) -> int:
@@ -232,24 +226,17 @@ def exact_minrep(mr: MinRepInstance, budget: OracleBudget | None = None) -> int:
     if nv > budget.max_vertices:
         raise BudgetExceeded(f"{nv} vertices exceed budget {budget.max_vertices}")
     bit = {lab: 1 << i for i, lab in enumerate(labels)}
-    pair_masks = []
-    for i, j in mr.superedges():
-        pairs = [bit[a] | bit[b] for a, b in mr.superedge_edges(i, j)]
-        if not pairs:
-            raise Uncoverable(f"superedge ({i}, {j}) has no edges")
-        pair_masks.append(pairs)
-    size = _fewest_masks([1 << i for i in range(nv)], lambda chosen: all(
+    # every superedge holds an edge, so choosing every vertex covers all of them
+    pair_masks = [[bit[a] | bit[b] for a, b in edges] for edges in mr.superedges().values()]
+    return _fewest_masks([1 << i for i in range(nv)], lambda chosen: all(
         any(p & chosen == p for p in pairs) for pairs in pair_masks))
-    if size is None:
-        raise Uncoverable("no subset covers all superedges")
-    return size
 
 
 def exact_mis(graph: TemporalGraph, budget: OracleBudget | None = None) -> int:
     """Maximum independent set size of a single-frame graph."""
     budget = budget or OracleBudget()
     if graph.T != 1:
-        raise ValueError("input must be a single-frame graph")
+        raise NotSingleFrame("input must be a single-frame graph")
     n = graph.n
     if n > budget.max_vertices:
         raise BudgetExceeded(f"n = {n} exceeds budget {budget.max_vertices}")

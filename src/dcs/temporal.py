@@ -25,6 +25,7 @@ from .errors import (
     FrameIndexOutOfRange,
     MalformedEdgeLine,
     MalformedHeader,
+    NotUtf8,
     SelfLoop,
 )
 
@@ -192,7 +193,13 @@ def parse(text: str | bytes) -> TemporalGraph:
     ParseError subclass naming the offending 1-based line on bad input.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # count lines as str.splitlines does on the decoded prefix
+            line = len((text[:exc.start].decode("utf-8") + "_").splitlines())
+            raise NotUtf8(f"byte 0x{text[exc.start]:02x} is not valid UTF-8 "
+                          f"({exc.reason})", line=line) from None
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
         fields = raw.split()

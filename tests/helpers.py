@@ -213,3 +213,56 @@ def naive_set_cover_sets(n_elems: int, num_sets: int, prob: float, seed: int) ->
         if not any(x in s for s in sets):
             sets[x % num_sets].add(x)
     return sets
+
+
+def naive_mcss_greedy(g: TemporalGraph) -> tuple:
+    """The eager max-merge greedy, with its phase boundary kept in the loop.
+
+    Returns (picks, gains, potentials, phase_boundary).  Each pick rescans
+    every union edge in sorted order and keeps the first one merging the
+    most components across the frames holding it.  The boundary is the
+    number of picks made when the potential, checked before each pick, is
+    first at most n; the number of all picks if that never happens.
+    """
+    frame_sets = [set(frame) for frame in g.frames]
+    union = sorted(set().union(*frame_sets))
+    parents = [list(range(g.n)) for _ in range(g.T)]
+
+    def find(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def merging_frames(e):
+        return [t for t in range(g.T)
+                if e in frame_sets[t] and find(parents[t], e[0]) != find(parents[t], e[1])]
+
+    rho = g.n * g.T - g.T
+    picks, gains, potentials = [], [], []
+    boundary = None
+    while rho > 0:
+        if boundary is None and rho <= g.n:
+            boundary = len(picks)
+        best = max(union, key=lambda e: len(merging_frames(e)))
+        merged = merging_frames(best)
+        for t in merged:
+            parents[t][find(parents[t], best[0])] = find(parents[t], best[1])
+        rho -= len(merged)
+        picks.append(best)
+        gains.append(len(merged))
+        potentials.append(rho)
+    if boundary is None:
+        boundary = len(picks)
+    return tuple(picks), tuple(gains), tuple(potentials), boundary
+
+
+def naive_superedges(mr) -> dict:
+    """Each part pair joined by an edge, in sorted order, mapped to its
+    edges in instance order, by filtering every edge for every part pair."""
+    groups = {}
+    for i, a_part in enumerate(mr.a_parts):
+        for j, b_part in enumerate(mr.b_parts):
+            edges = tuple(e for e in mr.edges if e[0] in a_part and e[1] in b_part)
+            if edges:
+                groups[(i, j)] = edges
+    return groups

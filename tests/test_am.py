@@ -19,6 +19,7 @@ from dcs import (
     score,
     threshold_grid,
 )
+from dcs import am
 from helpers import naive_core, random_temporal
 
 TINY = parse("3 2\n0 0 1\n1 0 1\n1 1 2\n")
@@ -124,6 +125,18 @@ def test_exact_am_budget_boundary_pins_peel_count():
     assert solution.members == (0, 1, 3, 4, 6, 9) and value == 8
     with pytest.raises(BudgetExceeded):
         exact_am(g, max_vectors=100)
+
+
+def test_fpt_approx_am_runs_under_the_peel_cap(monkeypatch):
+    # eps <= 1/(n-1) puts every integer on the grid, so fpt_approx_am peels
+    # the same 101 vectors as exact_am on this instance
+    g = random_temporal(random.Random(11), 10, 3, density=0.5)
+    monkeypatch.setattr(am, "_MAX_VECTORS", 101)
+    solution, value = fpt_approx_am(g, Fraction(1, 100))
+    assert solution.members == (0, 1, 3, 4, 6, 9) and value == 8
+    monkeypatch.setattr(am, "_MAX_VECTORS", 100)
+    with pytest.raises(BudgetExceeded, match="exceeded cap 100"):
+        fpt_approx_am(g, Fraction(1, 100))
 
 
 def test_fpt_examples():

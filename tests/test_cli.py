@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from dcs import TemporalGraph, ma, reduce_mis_to_am, serialize
 from dcs.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
 
 TINY = "3 2\n0 0 1\n1 0 1\n1 1 2\n"
@@ -113,12 +114,23 @@ def test_gen_every_generator(tmp_path):
 
 def test_gen_mis_tiny_random_input(tmp_path):
     out = str(tmp_path / "m.dcs")
-    # a single vertex is a complete graph, so the reduction refuses it
+    # a single vertex is always a complete graph, so --n 1 alone is wrong
     code, _, err = invoke("gen", "mis", "--n", "1", "--out", out)
-    assert code == EXIT_INVALID and "input graph is complete" in err
+    assert code == EXIT_USAGE and "gen mis needs --n >= 2, got 1" in err
     # --n 0 is an explicit, invalid size, not a missing flag
     code, _, err = invoke("gen", "mis", "--n", "0", "--out", out)
     assert code == EXIT_USAGE and "vertex count" in err
+
+
+def test_gen_mis_complete_draw_drops_one_edge(tmp_path):
+    # on two vertices p = 1 always draws the complete graph; dropping edge
+    # (0, 1) leaves the edgeless graph, whose reduction is two one-edge stars
+    out = tmp_path / "m.dcs"
+    code, report, err = invoke("gen", "mis", "--n", "2", "--edge-prob", "1", "--out", str(out))
+    assert code == EXIT_OK, err
+    assert out.read_text() == serialize(reduce_mis_to_am(TemporalGraph(2, [[]])))
+    assert out.read_text() == "2 2\n0 0 1\n1 0 1\n"
+    assert (report["instance"]["n"], report["instance"]["T"]) == (2, 2)
 
 
 def test_bench(tiny_path):
@@ -434,6 +446,32 @@ def test_instance_free_flag_errors_are_usage_errors(tiny_path, tmp_path, argv, m
     for path in (tiny_path, str(tmp_path / "missing.dcs")):
         code, _, err = invoke(*argv, "--in", path)
         assert code == EXIT_USAGE and f"usage error: {message}" in err
+
+
+def test_vertex_outside_graph_is_invalid_instance(tiny_path):
+    code, _, err = invoke("eval", "--in", tiny_path, "--set", "5")
+    assert code == EXIT_INVALID
+    assert err == "invalid instance: vertex 5 outside graph range [0, 3)\n"
+
+
+def test_non_utf8_input_is_invalid_instance_naming_its_line(tmp_path):
+    path = tmp_path / "bad.dcs"
+    path.write_bytes(b"3 2\n0 0 1\n1 0 \xff\n")
+    code, _, err = invoke("eval", "--in", str(path), "--set", "0")
+    assert code == EXIT_INVALID
+    assert err == ("invalid instance: line 3: byte 0xff is not valid UTF-8 "
+                   "(invalid start byte)\n")
+
+
+def test_internal_error_is_not_an_invalid_instance(tiny_path, monkeypatch):
+    # a ValueError from inside a solver is a bug: it propagates, not exit 2
+    def broken(g):
+        raise ValueError("solver bug")
+
+    monkeypatch.setattr(ma, "composite_ma", broken)
+    with pytest.raises(ValueError, match="solver bug"):
+        run(["solve", "--alg", "composite-ma", "--in", tiny_path],
+            stdout=io.StringIO(), stderr=io.StringIO())
 
 
 def test_k_above_frame_count_is_invalid_instance(tiny_path):

@@ -11,6 +11,7 @@ from dcs import (
     CompleteGraph,
     MA,
     MinRepInstance,
+    NotSingleFrame,
     NotUniform,
     PlantedParams,
     RecursiveParams,
@@ -92,6 +93,13 @@ def test_mis_reduction_rejects_complete_graph():
     k3 = TemporalGraph(3, [[(0, 1), (0, 2), (1, 2)]])
     with pytest.raises(CompleteGraph):
         reduce_mis_to_am(k3)
+
+
+def test_mis_reduction_and_oracle_need_one_frame():
+    two_frames = TemporalGraph(3, [[(0, 1)], [(1, 2)]])
+    for call in (reduce_mis_to_am, exact_mis):
+        with pytest.raises(NotSingleFrame, match="input must be a single-frame graph"):
+            call(two_frames)
 
 
 def test_planted_sizes():

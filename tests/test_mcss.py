@@ -25,6 +25,14 @@ from helpers import random_connected
 TRI_PATH = TemporalGraph(3, [[(0, 1), (0, 2), (1, 2)], [(0, 1), (1, 2)]])
 
 
+def test_one_vertex_needs_no_edges():
+    g = TemporalGraph(1, [[], []])
+    assert exact_mcss(g).edges == ()
+    run = mcss_greedy_run(g)
+    assert run.picks == run.gains == run.potentials == ()
+    assert run.solution.edges == () and run.phase_boundary == 0
+
+
 def test_greedy_examples():
     assert mcss_greedy(TRI_PATH).edges == ((0, 1), (1, 2))
     tree = TemporalGraph(4, [[(0, 2), (1, 2), (2, 3)]])

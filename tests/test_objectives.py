@@ -9,12 +9,14 @@ import pytest
 from dcs import (
     AA,
     AM,
+    DcsError,
     EmptySolution,
     KMA,
     KOrderOutOfRange,
     MA,
     MM,
     ObjectiveKind,
+    VertexOutOfRange,
     parse,
     score,
 )
@@ -54,6 +56,12 @@ def test_empty_solution_rejected():
     for kind in (MM, MA, AM, AA, KMA(1)):
         with pytest.raises(EmptySolution):
             score(TINY, [], kind)
+
+
+def test_vertex_out_of_range_is_an_instance_error():
+    with pytest.raises(VertexOutOfRange, match=r"vertex 3 outside graph range \[0, 3\)") as info:
+        score(TINY, [0, 3], MA)
+    assert isinstance(info.value, DcsError) and isinstance(info.value, ValueError)
 
 
 def test_kma_order_validation():

@@ -1,5 +1,6 @@
 """Property-based checks of the graph core against naive references."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from dcs import (
     EdgeOutOfRange,
     EdgeSolution,
     FractionalSolution,
+    MinRepInstance,
     ParseError,
     TemporalGraph,
     build_lp,
@@ -25,8 +27,10 @@ from dcs import (
     exact_am,
     exact_best,
     fpt_approx_am,
+    mcss_greedy_run,
     parse,
     potential,
+    random_minrep,
     score,
     serialize,
     threshold_grid,
@@ -36,7 +40,10 @@ from helpers import (
     naive_best,
     naive_edge_frames,
     naive_lp_check,
+    naive_mcss_greedy,
+    naive_superedges,
     naive_value,
+    random_connected,
 )
 
 # Seeded and database-free, so every run draws the same examples.
@@ -197,3 +204,28 @@ def test_check_feasible_matches_naive_lp_check(data):
     names = {c.name for c in model.constraints}
     names |= {f"{var}_nonneg" for var in model.variables}
     assert all(v.split(":")[0] in names for v in violations)
+
+
+@PROPERTY
+@given(st.integers(1, 9), st.integers(1, 4), st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+       st.integers(0, 2**32))
+def test_mcss_greedy_matches_naive_eager_loop(n, t_count, extra, seed):
+    g = random_connected(random.Random(seed), n, t_count, extra=extra)
+    run = mcss_greedy_run(g)
+    got = (run.picks, run.gains, run.potentials, run.phase_boundary)
+    assert got == naive_mcss_greedy(g)
+    assert run.solution.edges == tuple(sorted(run.picks))
+
+
+@PROPERTY
+@given(st.data())
+def test_superedges_match_naive_per_pair_filter(data):
+    mr = random_minrep(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)),
+                       data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0])),
+                       data.draw(st.integers(0, 2**32)))
+    # the same instance with its edges reordered: groups keep instance order
+    shuffled = MinRepInstance(mr.a_parts, mr.b_parts, data.draw(st.permutations(mr.edges)))
+    for inst in (mr, shuffled):
+        got = inst.superedges()
+        assert list(got.items()) == list(naive_superedges(inst).items())
+        assert list(got) == sorted(got)

@@ -12,6 +12,8 @@ from dcs import (
     EdgeOutOfRange,
     FrameIndexOutOfRange,
     MalformedHeader,
+    NotUtf8,
+    ParseError,
     SelfLoop,
     TemporalGraph,
     VertexSet,
@@ -49,6 +51,20 @@ def test_parse_tolerates_comments_and_whitespace():
 
 def test_parse_accepts_bytes():
     assert parse(TINY.encode()) == parse(TINY)
+
+
+@pytest.mark.parametrize("data,line", [
+    (b"\xff3 2\n", 1),
+    (b"3 2\n0 0 1\n1 0 \xff\n", 3),
+    (b"3 2\n0 0 1\n\xe2\x82", 3),  # a truncated sequence at the end
+    # lines end where str.splitlines ends them, as for every other parse error
+    (b"3 1\r0 0 1\x0c0 1 2\r\n\xc3(", 4),
+])
+def test_parse_rejects_non_utf8_naming_the_line(data, line):
+    with pytest.raises(NotUtf8) as info:
+        parse(data)
+    assert isinstance(info.value, ParseError) and info.value.line == line
+    assert str(info.value).startswith(f"line {line}: byte 0x")
 
 
 @pytest.mark.parametrize(
