@@ -56,10 +56,13 @@ class MinRepInstance:
             raise ValueError("parts within a side must be disjoint")
         if set(a_all) & set(b_all):
             raise ValueError("A and B sides must be disjoint")
-        a_set, b_set = set(a_all), set(b_all)
+        a_set, b_set, seen = set(a_all), set(b_all), set()
         for a, b in self.edges:
             if a not in a_set or b not in b_set:
                 raise ValueError(f"edge ({a!r}, {b!r}) does not cross from A to B")
+            if (a, b) in seen:
+                raise ValueError(f"edge ({a!r}, {b!r}) is repeated")
+            seen.add((a, b))
 
     @property
     def a_vertices(self) -> tuple[str, ...]:

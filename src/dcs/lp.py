@@ -15,17 +15,20 @@ frames its value can exceed any integral solution by a near-linear factor:
 on the star-sequence family, the harmonic assignment certifies LP value
 1/(1 + H_{n-1}) while the best integral score is exactly 1/n.
 
-`build_lp` is the one definition of the relaxation: `export_lp` renders
-it in the CPLEX-LP text format for external solvers, and `check_feasible`
-evaluates its bounds and constraints on a candidate fractional solution
-in exact rational arithmetic (a verified feasible value is a lower bound
-on the LP optimum, which is all the gap family needs).  No solver is
-bundled.  x is indexed per union edge, shared across frames, matching the
-single-frame specialization.
+`build_lp` is the one definition of the relaxation.  Its `LPModel` holds
+the variable names (y per vertex, x per union edge shared across frames as
+in the single-frame specialization, then z), the graph's union edges and
+each frame's x column positions; `constraints` builds each row on access
+from that index.  `export_lp` renders the rows straight from it in the
+CPLEX-LP text format for external solvers, and `check_feasible` evaluates
+the bounds and constraints on a candidate fractional solution in exact
+rational arithmetic (a verified feasible value is a lower bound on the LP
+optimum, which is all the gap family needs).  No solver is bundled.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,10 +58,41 @@ class LPConstraint:
 
 @dataclass(frozen=True)
 class LPModel:
-    """Variables in deterministic order and constraints; the objective is max z."""
+    """The relaxation's index: `frame_columns[t]` are positions in `variables`."""
 
     variables: tuple[str, ...]
-    constraints: tuple[LPConstraint, ...]
+    edges: tuple[Edge, ...]
+    frame_columns: tuple[tuple[int, ...], ...]
+
+    @property
+    def constraints(self) -> Sequence[LPConstraint]:
+        return _Rows(self)
+
+
+class _Rows(Sequence[LPConstraint]):
+    """The rows in model order, each built on access; len builds none."""
+
+    def __init__(self, model: LPModel):
+        self._m = model
+
+    def __len__(self) -> int:
+        return 1 + 2 * len(self._m.edges) + len(self._m.frame_columns)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]  # IndexError past either end, as for a tuple
+        var, edges = self._m.variables, self._m.edges
+        n = len(var) - len(edges) - 1
+        if i == 0:
+            return LPConstraint("normalize", tuple((1, y) for y in var[:n]), "=", 1)
+        k, side = divmod(i - 1, 2)
+        if k < len(edges):
+            xe, y = var[n + k], var[edges[k][side]]
+            return LPConstraint(f"{xe}_le_{y}", ((1, xe), (-1, y)), "<=", 0)
+        t = i - 1 - 2 * len(edges)
+        terms = ((1, "z"),) + tuple((-1, var[c]) for c in self._m.frame_columns[t])
+        return LPConstraint(f"frame_{t}", terms, "<=", 0)
 
 
 def edge_var(e: Edge) -> str:
@@ -68,47 +102,25 @@ def edge_var(e: Edge) -> str:
 def build_lp(g: TemporalGraph) -> LPModel:
     """Model with n + |E| + 1 variables and 1 + 2|E| + T constraints."""
     union = g.union_edges
-    variables = tuple(
-        [f"y{i}" for i in range(g.n)] + [edge_var(e) for e in union] + ["z"]
-    )
-    constraints = [
-        LPConstraint(
-            name="normalize",
-            terms=tuple((1, f"y{i}") for i in range(g.n)),
-            sense="=",
-            rhs=1,
-        )
-    ]
-    for u, v in union:
-        xe = edge_var((u, v))
-        constraints.append(
-            LPConstraint(f"{xe}_le_y{u}", ((1, xe), (-1, f"y{u}")), "<=", 0)
-        )
-        constraints.append(
-            LPConstraint(f"{xe}_le_y{v}", ((1, xe), (-1, f"y{v}")), "<=", 0)
-        )
-    for t in range(g.T):
-        terms = ((1, "z"),) + tuple((-1, edge_var(e)) for e in g.frames[t])
-        constraints.append(LPConstraint(f"frame_{t}", terms, "<=", 0))
-    return LPModel(variables=variables, constraints=tuple(constraints))
-
-
-def _render_terms(terms) -> str:
-    parts = []
-    for coef, name in terms:
-        parts.append(f"- {name}" if coef == -1 else f"+ {name}" if parts else name)
-    return " ".join(parts)
+    columns: list[list[int]] = [[] for _ in range(g.T)]
+    for c, frames in enumerate(g.edge_frames.values(), g.n):
+        for t in frames:
+            columns[t].append(c)
+    variables = (*(f"y{i}" for i in range(g.n)), *map(edge_var, union), "z")
+    return LPModel(variables, union, tuple(map(tuple, columns)))
 
 
 def export_lp(model: LPModel) -> str:
-    """Deterministic CPLEX-LP text for the model."""
-    lines = ["Maximize", " obj: z", "Subject To"]
-    lines += [f" {c.name}: {_render_terms(c.terms)} {c.sense} {c.rhs}"
-              for c in model.constraints]
-    lines.append("Bounds")
-    lines += [f" 0 <= {name}" for name in model.variables]
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    """Deterministic CPLEX-LP text, each row rendered straight from the index."""
+    var = model.variables
+    n = len(var) - len(model.edges) - 1
+    lines = ["Maximize", " obj: z", "Subject To", f" normalize: {' + '.join(var[:n])} = 1"]
+    lines += [f" {xe}_le_y{u}: {xe} - y{u} <= 0\n {xe}_le_y{v}: {xe} - y{v} <= 0"
+              for xe, (u, v) in zip(var[n:], model.edges)]
+    lines += [f" frame_{t}: {' - '.join(['z', *map(var.__getitem__, cols)])} <= 0"
+              for t, cols in enumerate(model.frame_columns)]
+    lines += ["Bounds", " 0 <= " + "\n 0 <= ".join(var), "End\n"]
+    return "\n".join(lines)
 
 
 def check_feasible(

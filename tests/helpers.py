@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from dcs import TemporalGraph, VertexSet
+from dcs.lp import LPConstraint
 from dcs.rng import substream
 
 
@@ -184,6 +185,39 @@ def naive_lp_check(g: TemporalGraph, f) -> bool:
     return all(
         z <= sum((x[e] for e in g.frames[t]), Fraction(0)) for t in range(g.T)
     )
+
+
+def naive_lp_rows(g: TemporalGraph) -> list:
+    """The rows of the density LP as one LPConstraint each, built term by
+    term in model order: normalize, both endpoint rows per union edge, then
+    one row per frame."""
+    rows = [LPConstraint("normalize", tuple((1, f"y{i}") for i in range(g.n)), "=", 1)]
+    for u, v in sorted({e for frame in g.frames for e in frame}):
+        xe = f"x_{u}_{v}"
+        rows.append(LPConstraint(f"{xe}_le_y{u}", ((1, xe), (-1, f"y{u}")), "<=", 0))
+        rows.append(LPConstraint(f"{xe}_le_y{v}", ((1, xe), (-1, f"y{v}")), "<=", 0))
+    for t in range(g.T):
+        terms = ((1, "z"),) + tuple((-1, f"x_{u}_{v}") for u, v in g.frames[t])
+        rows.append(LPConstraint(f"frame_{t}", terms, "<=", 0))
+    return rows
+
+
+def naive_export_lp(g: TemporalGraph) -> str:
+    """CPLEX-LP text of the density LP, rendering naive_lp_rows term by term."""
+    def render(terms):
+        parts = []
+        for coef, name in terms:
+            parts.append(f"- {name}" if coef == -1 else f"+ {name}" if parts else name)
+        return " ".join(parts)
+
+    union = sorted({e for frame in g.frames for e in frame})
+    variables = [f"y{i}" for i in range(g.n)] + [f"x_{u}_{v}" for u, v in union] + ["z"]
+    lines = ["Maximize", " obj: z", "Subject To"]
+    lines += [f" {c.name}: {render(c.terms)} {c.sense} {c.rhs}" for c in naive_lp_rows(g)]
+    lines.append("Bounds")
+    lines += [f" 0 <= {name}" for name in variables]
+    lines.append("End")
+    return "\n".join(lines) + "\n"
 
 
 def naive_edge_frames(g: TemporalGraph) -> dict:

@@ -1,12 +1,22 @@
 """Command-line front end: subcommands, exit codes, report determinism."""
 
+import hashlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from dcs import TemporalGraph, ma, reduce_mis_to_am, serialize
+from dcs import (
+    PlantedParams,
+    TemporalGraph,
+    gen_gap_instance,
+    gen_planted_2frame,
+    ma,
+    reduce_mis_to_am,
+    serialize,
+)
 from dcs.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
 
 TINY = "3 2\n0 0 1\n1 0 1\n1 1 2\n"
@@ -60,6 +70,26 @@ def test_lp_check_and_export(tmp_path, tiny_path):
     text = Path(out).read_text()
     assert text.startswith("Maximize\n") and text.endswith("End\n")
     assert report["result"]["variables"] == 6
+
+
+# SHA-256 of the exported bytes, pinned so that any change to the LP text
+# fails here and not only in the benchmark's digests
+LP_EXPORT_DIGESTS = [
+    (gen_gap_instance(6),
+     "3e22275b6f0ad66cd9232b99f66239893368d73772415cdcdd3d069b93b316ab"),
+    (gen_planted_2frame(PlantedParams(64, Fraction(1, 20), True, 7)),
+     "e90679a24ae475060b033cecb98adf48a8d94559ff65a14c42ad26c3d9d3ce16"),
+]
+
+
+@pytest.mark.parametrize("g, digest", LP_EXPORT_DIGESTS, ids=["gap6", "planted64"])
+def test_lp_export_bytes_are_pinned(tmp_path, g, digest):
+    src, out = tmp_path / "g.dcs", tmp_path / "g.lp"
+    src.write_text(serialize(g))
+    code, report, _ = invoke("lp", "export", "--in", str(src), "--out", str(out))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert report["result"]["digest"] == digest
 
 
 def test_eval_command(tiny_path):

@@ -59,6 +59,16 @@ def test_minrep_reduction_shape_and_identity():
     assert exact_best(g, MA)[1].value == Fraction(1, exact_minrep(mr) + 2)
 
 
+def test_minrep_rejects_repeated_edges():
+    with pytest.raises(ValueError, match=r"edge \('a', 'b'\) is repeated"):
+        MinRepInstance((("a",),), (("b",),), (("a", "b"), ("a", "b")))
+    # the same pair of labels in the other order does not cross, so it is
+    # rejected as such, and distinct edges sharing an endpoint are fine
+    with pytest.raises(ValueError, match="does not cross"):
+        MinRepInstance((("a",),), (("b",),), (("a", "b"), ("b", "a")))
+    assert len(MinRepInstance((("a",),), (("b", "c"),), (("a", "b"), ("a", "c"))).edges) == 2
+
+
 def test_minrep_reduction_frame_counts():
     mr = random_minrep(parts=2, part_size=2, edge_prob=0.9, seed=11)
     g, _ = reduce_minrep_to_ma(mr)

@@ -17,6 +17,7 @@ from dcs import (
     gap_report,
     gen_gap_instance,
     harmonic_solution,
+    lp,
     parse,
     score,
 )
@@ -35,6 +36,29 @@ def test_build_lp_counts():
     edgeless = build_lp(parse("3 1\n"))
     frame = [c for c in edgeless.constraints if c.name == "frame_0"][0]
     assert frame.terms == ((1, "z"),) and frame.sense == "<=" and frame.rhs == 0
+
+
+def test_counts_and_export_build_no_row_objects(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("an LPConstraint was built")
+
+    monkeypatch.setattr(lp, "LPConstraint", no_rows)
+    m = build_lp(TINY)
+    assert (len(m.variables), len(m.constraints)) == (6, 7)
+    # three header lines, the rows, "Bounds", one bound per variable, "End"
+    assert export_lp(m).count("\n") == 3 + 7 + 1 + 6 + 1
+
+
+def test_constraints_index_like_a_tuple():
+    rows = build_lp(TINY).constraints
+    whole = tuple(rows)
+    assert len(whole) == len(rows) == 7
+    assert rows[-1] == whole[-1] and rows[-1].name == "frame_1"
+    assert rows[1:5:2] == whole[1:5:2] and rows[::-1] == whole[::-1]
+    assert rows.index(whole[3]) == 3 and whole[2] in rows
+    for bad in (7, -8):
+        with pytest.raises(IndexError):
+            rows[bad]
 
 
 def test_variable_naming_and_order():

@@ -26,6 +26,7 @@ from dcs import (
     check_spanning,
     exact_am,
     exact_best,
+    export_lp,
     fpt_approx_am,
     mcss_greedy_run,
     parse,
@@ -39,7 +40,9 @@ from helpers import (
     naive_am_search,
     naive_best,
     naive_edge_frames,
+    naive_export_lp,
     naive_lp_check,
+    naive_lp_rows,
     naive_mcss_greedy,
     naive_superedges,
     naive_value,
@@ -204,6 +207,19 @@ def test_check_feasible_matches_naive_lp_check(data):
     names = {c.name for c in model.constraints}
     names |= {f"{var}_nonneg" for var in model.variables}
     assert all(v.split(":")[0] in names for v in violations)
+
+
+@PROPERTY
+@given(g=graphs(max_t=4))
+@example(g=TemporalGraph(1, [[]]))
+@example(g=TemporalGraph(3, [[(0, 1)], [], [(0, 2), (1, 2)], []]))
+def test_lp_model_matches_naive_rows_and_export(g):
+    model = build_lp(g)
+    m = len(g.union_edges)
+    assert len(model.constraints) == 1 + 2 * m + g.T
+    assert len(model.variables) == g.n + m + 1
+    assert list(model.constraints) == naive_lp_rows(g)
+    assert export_lp(model) == naive_export_lp(g)
 
 
 @PROPERTY
