@@ -148,12 +148,12 @@ def _ceil_root(n: int, k: int) -> int:
     return m
 
 
-def _er_edges(stream: SplitMix64, vertices: Sequence[int], p: float) -> list[Edge]:
+def _er_edges(stream: SplitMix64, vertices: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Bernoulli(p) edges over all vertex pairs, in pair order, vectorized.
 
-    One draw per pair of the given (ascending) vertex list, pairs ordered
+    One draw per pair of the given (ascending) vertex array, pairs ordered
     lexicographically by position, so output depends only on the stream
-    position and p.
+    position and p.  Returns the edges' (u, v) labels as two arrays, u < v.
     """
     m = len(vertices)
     hits = bernoulli_block(stream, m * (m - 1) // 2, p)
@@ -162,7 +162,12 @@ def _er_edges(stream: SplitMix64, vertices: Sequence[int], p: float) -> list[Edg
     starts = np.concatenate(([0], np.cumsum(row_sizes)))[:-1]
     rows = np.searchsorted(starts, idx, side="right") - 1
     cols = idx - starts[rows] + rows + 1
-    return [(vertices[int(i)], vertices[int(j)]) for i, j in zip(rows, cols)]
+    return vertices[rows], vertices[cols]
+
+
+def _records(t: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(t, u, v) edge records of one frame, as an (m, 3) int64 array."""
+    return np.column_stack((np.full(len(u), t), u, v))
 
 
 def gen_gap_instance(n: int) -> TemporalGraph:
@@ -239,14 +244,14 @@ def gen_planted_2frame(p: PlantedParams) -> TemporalGraph:
     """
     n = p.n
     u_size = _ceil_root(n, 4)
-    clique = [(a, b) for a in range(n, n + u_size) for b in range(a + 1, n + u_size)]
-    ambient = list(range(n))
-    edges = set(_er_edges(substream(p.seed, 1), ambient, n**-0.5))
+    a, b = np.triu_indices(u_size, 1)
+    edges = [_er_edges(substream(p.seed, 1), np.arange(n), n**-0.5)]
     if p.planted:
-        sub = list(planted_subset(p))
+        sub = np.array(planted_subset(p))
         overlay_p = float(n) ** (-0.25 - float(p.eps))
-        edges.update(_er_edges(substream(p.seed, 3), sub, overlay_p))
-    return TemporalGraph(n + u_size, [clique, edges])
+        edges.append(_er_edges(substream(p.seed, 3), sub, overlay_p))
+    tuv = np.concatenate((_records(0, a + n, b + n), _records(1, *_union(n, edges))))
+    return TemporalGraph._from_array(n + u_size, 2, tuv)
 
 
 def sample_recursive_planted(rp: RecursiveParams) -> TemporalGraph:
@@ -256,20 +261,29 @@ def sample_recursive_planted(rp: RecursiveParams) -> TemporalGraph:
     sample onto a uniformly chosen subset of the previous level's vertices.
     Sub-streams: role 2*level = edges, role 2*level + 1 = subset choice.
     """
-    edges = _recursive_edges(rp, 0, list(range(rp.nvec[0])))
-    return TemporalGraph(rp.nvec[0], [edges])
+    n = rp.nvec[0]
+    edges = _recursive_edges(rp, 0, np.arange(n))
+    return TemporalGraph._from_array(n, 1, _records(0, *_union(n, edges)))
 
 
-def _recursive_edges(rp: RecursiveParams, level: int, vertices: list[int]) -> set[Edge]:
+def _recursive_edges(rp: RecursiveParams, level: int,
+                     vertices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     size = rp.nvec[level]
     prob = float(size) ** (float(rp.pvec[level]) - 1.0)
-    edges = set(_er_edges(substream(rp.seed, 2 * level), vertices, prob))
+    edges = [_er_edges(substream(rp.seed, 2 * level), vertices, prob)]
     if level + 1 < len(rp.nvec):
         pick = substream(rp.seed, 2 * level + 1).sample_without_replacement(
             size, rp.nvec[level + 1]
         )
-        edges |= _recursive_edges(rp, level + 1, [vertices[i] for i in pick])
+        edges += _recursive_edges(rp, level + 1, vertices[pick])
     return edges
+
+
+def _union(n: int, edges: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted union of (u, v) edge arrays over vertices below n."""
+    # sort and mask: np.unique hashes int64 keys, about 30x slower here
+    keys = np.sort(np.concatenate([u * n + v for u, v in edges]))
+    return np.divmod(keys[np.insert(keys[1:] != keys[:-1], 0, True)], n)
 
 
 def gen_padded_sequence(
@@ -298,11 +312,12 @@ def gen_padded_sequence(
     if pad_count < 0:
         raise ValueError(f"pad_count must be >= 0, got {pad_count}")
     prob = float(amb) ** (-3.0 * float(eps_prime))
-    ambient = list(range(amb))
-    frames = [list(fr) for fr in base.frames]
-    for j in range(pad_count):
-        frames.append(_er_edges(substream(seed, base.T + j), ambient, prob))
-    return TemporalGraph(base.n, frames)
+    ambient = np.arange(amb)
+    tuv = [_records(t, *np.array(frame, dtype=np.int64).reshape(-1, 2).T)
+           for t, frame in enumerate(base.frames)]
+    for t in range(base.T, base.T + pad_count):
+        tuv.append(_records(t, *_er_edges(substream(seed, t), ambient, prob)))
+    return TemporalGraph._from_array(base.n, base.T + pad_count, np.concatenate(tuv))
 
 
 def reduce_setcover_to_mcss(sc: SetCoverInstance) -> tuple[TemporalGraph, dict[int, str]]:
@@ -394,4 +409,5 @@ def random_set_cover(n_elems: int, num_sets: int, prob: float, seed: int) -> Set
 
 def random_graph(n: int, p: float, seed: int) -> TemporalGraph:
     """Single-frame G(n, p) sample."""
-    return TemporalGraph(n, [_er_edges(substream(seed, 0), list(range(n)), p)])
+    edges = _er_edges(substream(seed, 0), np.arange(n), p)
+    return TemporalGraph._from_array(n, 1, _records(0, *edges))

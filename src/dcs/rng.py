@@ -85,11 +85,16 @@ def stream_block(seed: int, start: int, count: int) -> np.ndarray:
     Matches the scalar stream exactly: stream_block(s, 0, k) equals the
     first k values of SplitMix64(s).next_u64().
     """
-    idx = np.arange(start + 1, start + 1 + count, dtype=np.uint64)
-    z = (np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(start + 1, start + 1 + count, dtype=np.uint64)
+    # in place, so at most one temporary of the block's size is live
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed & MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def bernoulli_block(stream: SplitMix64, count: int, p: float) -> np.ndarray:
@@ -101,4 +106,5 @@ def bernoulli_block(stream: SplitMix64, count: int, p: float) -> np.ndarray:
     base_state = stream._state
     block = stream_block(base_state, 0, count)
     stream._state = (base_state + count * GOLDEN) & MASK64
-    return (block >> np.uint64(11)) < np.uint64(_threshold(p))
+    block >>= np.uint64(11)
+    return block < np.uint64(_threshold(p))

@@ -10,14 +10,21 @@ and `edge_frames`.  The on-disk format is plain text:
 
 Parsing is whitespace-tolerant; serialization is canonical (edges sorted
 by (t, u, v) with u < v, single spaces, trailing newline) so equal graphs
-produce byte-identical files.
+produce byte-identical files.  Canonical text is read with one array
+conversion, any other text line by line; the accepted language is the same
+either way.  Parsed edges, constructed frames and generated edge arrays all
+pass one array validator, and an error names the same line on either path:
+the first faulty record in file order.
 """
 
 from __future__ import annotations
 
+import re
 from operator import index
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateEdge,
@@ -26,6 +33,7 @@ from .errors import (
     MalformedEdgeLine,
     MalformedHeader,
     NotUtf8,
+    ParseError,
     SelfLoop,
 )
 
@@ -46,42 +54,60 @@ class TemporalGraph:
 
     def __init__(self, n: int, frames: Iterable[Iterable[Edge]]):
         frames = tuple(frames)
-        records = ((0, t, u, v) for t, frame in enumerate(frames) for u, v in frame)
-        self._build(n, len(frames), records)
+        self._build(n, len(frames), *_collect(_frame_records(frames)))
 
-    def _build(self, n: int, t_count: int,
-               records: Iterable[tuple[int, int, object, object]]) -> None:
-        """Validate (line, t, u, v) edge records and store the frames.
+    @classmethod
+    def _from_array(cls, n: int, t_count: int, tuv: np.ndarray | list[tuple[int, ...]],
+                    lines: Sequence[int] | None = None,
+                    pending: Exception | None = None) -> TemporalGraph:
+        """Graph from (m, 3) integer (t, u, v) edge records; see `_build`."""
+        g = cls.__new__(cls)
+        g._build(n, t_count, tuv, lines, pending)
+        return g
 
-        The one edge check on every path into a graph; ``line`` is the
-        1-based source line named in errors, 0 for constructed graphs.
+    def _build(self, n: int, t_count: int, tuv: np.ndarray | list[tuple[int, ...]],
+               lines: Sequence[int] | None = None, pending: Exception | None = None) -> None:
+        """Validate (t, u, v) edge records and store the frames.
+
+        The one edge check on every path into a graph.  ``tuv`` holds the
+        records read before ``pending``, the first fault a record shows on
+        its own, which is raised only if those records are clean.  A
+        record's faults are checked in the order frame index, vertex range,
+        self-loop, duplicate, and the earliest faulty record is reported,
+        naming ``lines[i]``, its 1-based source line (0 when ``lines`` is
+        None, for constructed graphs).
         """
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
         if t_count < 1:
             raise ValueError("at least one frame is required")
-        seen: list[set[Edge]] = [set() for _ in range(t_count)]
-        for line, t, u, v in records:
-            try:
-                u, v = index(u), index(v)
-            except TypeError:
-                raise MalformedEdgeLine(
-                    f"non-integer vertex label in edge ({u!r}, {v!r}) in frame {t}",
-                    line=line,
-                ) from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise EdgeOutOfRange(
-                    f"edge ({u}, {v}) outside vertex range [0, {n}) in frame {t}",
-                    line=line,
-                )
-            if u == v:
-                raise SelfLoop(f"self-loop at vertex {u} in frame {t}", line=line)
-            e = (u, v) if u < v else (v, u)
-            if e in seen[t]:
-                raise DuplicateEdge(f"duplicate edge {e} in frame {t}", line=line)
-            seen[t].add(e)
+        try:
+            tuv = np.asarray(tuv, dtype=np.int64).reshape(-1, 3)
+        except OverflowError:  # a value past int64 stays a Python int
+            tuv = np.array(tuv, dtype=object).reshape(-1, 3)
+        # Keys are exact and distinct for valid records, in Python ints where
+        # (t * n + lo) * n + hi could pass int64.  A faulty record's key may
+        # wrap; a collision with it flags only the later record of the two.
+        t, u, v = (tuv.astype(object) if t_count * n * n >= 1 << 63 else tuv).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        key = (t * n + lo) * n + hi
+        bad = (t < 0) | (t >= t_count) | (lo < 0) | (hi >= n) | (u == v)
+        order = None
+        if not (key[1:] > key[:-1]).all():  # canonical input is already sorted
+            order = np.argsort(key, kind="stable")
+            sorted_key = key[order]
+            bad[order[1:][sorted_key[1:] == sorted_key[:-1]]] = True
+        if bad.any():
+            i = int(bad.argmax())
+            _raise_fault(n, t_count, *map(int, tuv[i]), line=0 if lines is None else lines[i])
+        if pending is not None:
+            raise pending
+        if order is not None:
+            t, lo, hi = t[order], lo[order], hi[order]
+        edges = list(zip(lo.tolist(), hi.tolist()))
+        ends = np.bincount(t.astype(np.int64, copy=False), minlength=t_count).cumsum().tolist()
         self.n = n
-        self.frames = tuple(tuple(sorted(edges)) for edges in seen)
+        self.frames = tuple(tuple(edges[a:b]) for a, b in zip([0] + ends, ends))
         self._adj: tuple[tuple[frozenset[int], ...], ...] | None = None
         self._edge_frames: Mapping[Edge, tuple[int, ...]] | None = None
 
@@ -186,12 +212,26 @@ def induced_degrees(g: TemporalGraph, t: int, vertices: Iterable[int],
     return [len(adj[v] & inside) for v in vertices]
 
 
+# The text serialize writes: ASCII digits, single spaces, "\n" line ends.
+# Edge tokens of at most 18 digits always fit int64.
+_CANONICAL = re.compile(rb"[0-9]+ [0-9]+\n(?:[0-9]{1,18} [0-9]{1,18} [0-9]{1,18}\n)*")
+
+
 def parse(text: str | bytes) -> TemporalGraph:
     """Parse a .dcs text stream into a validated TemporalGraph.
 
     Tolerates extra whitespace, blank lines, and '#' comments.  Raises a
     ParseError subclass naming the offending 1-based line on bad input.
+    Canonical text is read in one array conversion, any other text line by
+    line; both feed the same validator.
     """
+    if isinstance(text, str) and text.isascii():
+        text = text.encode("ascii")
+    if isinstance(text, bytes) and _CANONICAL.fullmatch(text):
+        head, _, body = text.partition(b"\n")
+        n, t_count = _header(head.decode("ascii"), 1)
+        tuv = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 3)
+        return TemporalGraph._from_array(n, t_count, tuv, range(2, len(tuv) + 2))
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -207,6 +247,13 @@ def parse(text: str | bytes) -> TemporalGraph:
             break
     else:
         raise MalformedHeader("empty input", line=1)
+    n, t_count = _header(raw, lineno)
+    return TemporalGraph._from_array(n, t_count, *_collect(_line_records(lines)))
+
+
+def _header(raw: str, lineno: int) -> tuple[int, int]:
+    """(n, T) from the header line."""
+    fields = raw.split()
     if len(fields) != 2:
         raise MalformedHeader(f"expected '<n> <T>', got {raw!r}", line=lineno)
     try:
@@ -219,14 +266,11 @@ def parse(text: str | bytes) -> TemporalGraph:
         raise MalformedHeader(
             f"need n >= 1 and T >= 1, got n={n}, T={t_count}", line=lineno
         )
-    g = TemporalGraph.__new__(TemporalGraph)
-    g._build(n, t_count, _edge_records(lines, t_count))
-    return g
+    return n, t_count
 
 
-def _edge_records(lines: Iterator[tuple[int, str]],
-                  t_count: int) -> Iterator[tuple[int, int, int, int]]:
-    """(line, t, u, v) for each edge line; checks syntax and frame index only."""
+def _line_records(lines: Iterator[tuple[int, str]]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(line, (t, u, v)) for each edge line; checks its syntax only."""
     for lineno, raw in lines:
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
@@ -236,16 +280,54 @@ def _edge_records(lines: Iterator[tuple[int, str]],
                 f"expected '<t> <u> <v>', got {raw!r}", line=lineno
             )
         try:
-            t, u, v = map(int, fields)
+            row = tuple(map(int, fields))
         except ValueError:
             raise MalformedEdgeLine(
                 f"non-integer edge fields in {raw!r}", line=lineno
             ) from None
-        if not (0 <= t < t_count):
-            raise EdgeOutOfRange(
-                f"frame index {t} not in [0, {t_count})", line=lineno
-            )
-        yield lineno, t, u, v
+        yield lineno, row
+
+
+def _frame_records(frames: Sequence[Iterable[Edge]]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(0, (t, u, v)) for each edge of each frame; checks its labels are integers."""
+    for t, frame in enumerate(frames):
+        for u, v in frame:
+            try:
+                row = (t, index(u), index(v))
+            except TypeError:
+                raise MalformedEdgeLine(
+                    f"non-integer vertex label in edge ({u!r}, {v!r}) in frame {t}",
+                    line=0,
+                ) from None
+            yield 0, row
+
+
+def _collect(records: Iterator[tuple[int, tuple[int, ...]]]
+             ) -> tuple[list[tuple[int, ...]], list[int], Exception | None]:
+    """(rows, lines, fault) of the records before the first one that is
+    faulty on its own; fault is that record's error, or None."""
+    rows: list[tuple[int, ...]] = []
+    lines: list[int] = []
+    try:
+        for line, row in records:
+            lines.append(line)
+            rows.append(row)
+    except (ParseError, TypeError, ValueError) as exc:  # a bad line or a non-pair edge
+        return rows, lines, exc
+    return rows, lines, None
+
+
+def _raise_fault(n: int, t_count: int, t: int, u: int, v: int, line: int) -> None:
+    """Raise the first fault of record (t, u, v), which the validator flagged."""
+    if not 0 <= t < t_count:
+        raise EdgeOutOfRange(f"frame index {t} not in [0, {t_count})", line=line)
+    if not (0 <= u < n and 0 <= v < n):
+        raise EdgeOutOfRange(
+            f"edge ({u}, {v}) outside vertex range [0, {n}) in frame {t}", line=line
+        )
+    if u == v:
+        raise SelfLoop(f"self-loop at vertex {u} in frame {t}", line=line)
+    raise DuplicateEdge(f"duplicate edge {(min(u, v), max(u, v))} in frame {t}", line=line)
 
 
 def serialize(g: TemporalGraph) -> str:

@@ -10,8 +10,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from operator import index
 
-from dcs import TemporalGraph, VertexSet
+from dcs import (
+    DuplicateEdge,
+    EdgeOutOfRange,
+    MalformedHeader,
+    NotUtf8,
+    SelfLoop,
+    TemporalGraph,
+    VertexSet,
+)
+from dcs.errors import MalformedEdgeLine
 from dcs.lp import LPConstraint
 from dcs.rng import substream
 
@@ -93,6 +103,85 @@ def random_connected(rng: random.Random, n: int, t_count: int,
                 edges.add(e)
         frames.append(sorted(edges))
     return TemporalGraph(n, frames)
+
+
+def naive_build(n: int, t_count: int, records) -> TemporalGraph:
+    """The graph of (line, t, u, v) edge records, checked one record at a
+    time: integer labels, vertex range, self-loop, then duplicate.
+
+    Sets the graph's fields directly, so no library check is involved.
+    """
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
+    if t_count < 1:
+        raise ValueError("at least one frame is required")
+    seen = [set() for _ in range(t_count)]
+    for line, t, u, v in records:
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            raise MalformedEdgeLine(
+                f"non-integer vertex label in edge ({u!r}, {v!r}) in frame {t}",
+                line=line,
+            ) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeOutOfRange(
+                f"edge ({u}, {v}) outside vertex range [0, {n}) in frame {t}",
+                line=line,
+            )
+        if u == v:
+            raise SelfLoop(f"self-loop at vertex {u} in frame {t}", line=line)
+        e = (u, v) if u < v else (v, u)
+        if e in seen[t]:
+            raise DuplicateEdge(f"duplicate edge {e} in frame {t}", line=line)
+        seen[t].add(e)
+    g = TemporalGraph.__new__(TemporalGraph)
+    g.n, g.frames = n, tuple(tuple(sorted(edges)) for edges in seen)
+    g._adj = g._edge_frames = None
+    return g
+
+
+def naive_parse(text) -> TemporalGraph:
+    """.dcs text to a graph, one line at a time, feeding naive_build."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((text[:exc.start].decode("utf-8") + "_").splitlines())
+            raise NotUtf8(f"byte 0x{text[exc.start]:02x} is not valid UTF-8 "
+                          f"({exc.reason})", line=line) from None
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        fields = raw.split()
+        if fields and not fields[0].startswith("#"):
+            break
+    else:
+        raise MalformedHeader("empty input", line=1)
+    if len(fields) != 2:
+        raise MalformedHeader(f"expected '<n> <T>', got {raw!r}", line=lineno)
+    try:
+        n, t_count = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise MalformedHeader(f"non-integer header fields in {raw!r}", line=lineno) from None
+    if n < 1 or t_count < 1:
+        raise MalformedHeader(f"need n >= 1 and T >= 1, got n={n}, T={t_count}", line=lineno)
+
+    def records():
+        for lineno, raw in lines:
+            fields = raw.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if len(fields) != 3:
+                raise MalformedEdgeLine(f"expected '<t> <u> <v>', got {raw!r}", line=lineno)
+            try:
+                t, u, v = map(int, fields)
+            except ValueError:
+                raise MalformedEdgeLine(f"non-integer edge fields in {raw!r}", line=lineno) from None
+            if not (0 <= t < t_count):
+                raise EdgeOutOfRange(f"frame index {t} not in [0, {t_count})", line=lineno)
+            yield lineno, t, u, v
+
+    return naive_build(n, t_count, records())
 
 
 def naive_stats(g: TemporalGraph, t: int, members) -> tuple[int, int]:

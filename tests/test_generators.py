@@ -1,5 +1,6 @@
 """Instance generators: constructions, reduction identities, determinism."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -273,6 +274,42 @@ def test_every_seeded_generator_is_deterministic():
     assert serialize(gen_padded_sequence(base, 3, Fraction(1, 10), 77)) == serialize(
         gen_padded_sequence(base, 3, Fraction(1, 10), 77)
     )
+
+
+F = Fraction
+PINNED = {  # SHA-256 of serialize(...), recorded before edge ingest moved to arrays
+    "planted64": (lambda: gen_planted_2frame(PlantedParams(64, F(1, 20), True, 7)),
+                  "6dc112325fca1aa89dd53394fc6547c2fa50d9794309757aa5341425bd4e5145"),
+    "unplanted64": (lambda: gen_planted_2frame(PlantedParams(64, F(1, 20), False, 7)),
+                    "a062b5619e1d5c16527acfddc3295ca61c7da725259fa1e6beca90611622475a"),
+    "planted1536": (lambda: gen_planted_2frame(PlantedParams(1536, F(1, 20), True, 3)),
+                    "66a300ec1c646744309668d5c7d0b8cb394d19aeebbbe41ffbca9d653bd3a88b"),
+    "unplanted1536": (lambda: gen_planted_2frame(PlantedParams(1536, F(1, 20), False, 3)),
+                      "4221739358aff61c3a88b2633c7b26f845fbb6d6a94f000850c74fbea653f4ce"),
+    "recursive": (lambda: sample_recursive_planted(
+                      RecursiveParams((300, 60, 12), (F(1, 2), F(2, 3), F(1)), 5)),
+                  "7bf75bd9bf59b11db83a124384f339076f979e7f96eef8efef85820df48ae6ac"),
+    "padded": (lambda: gen_padded_sequence(
+                   gen_planted_2frame(PlantedParams(64, F(1, 20), True, 7)), 6, F(1, 10), 9,
+                   ambient_n=64),
+               "8618a7e7a794a6b24c39e5d812b80e3a50c5d9c7dcae29ae3c29c89e6bf78abf"),
+    "random_graph": (lambda: random_graph(200, 0.05, 11),
+                     "bcb0259927e1829802f541362a285e44c15a616c2fce6693400de12663623e95"),
+    "gap": (lambda: gen_gap_instance(9),
+            "d6184a3280ff3ca28b0bacf8f3322b2e97cb282d332126a889948831c7e752b2"),
+    "minrep": (lambda: reduce_minrep_to_ma(random_minrep(3, 3, 0.3, 4))[0],
+               "1dbabaaf64a47b24ddd56a1351d74cf7342b0a890c3936953c72ba24fae941e8"),
+    "setcover": (lambda: reduce_setcover_to_mcss(random_set_cover(6, 4, 0.4, 8))[0],
+                 "7a1a89d4c972bca2f36544e0faf41c753dd90e262500ae463f81518f7aba583f"),
+    "mis": (lambda: reduce_mis_to_am(random_graph(12, 0.3, 6)),
+            "3a051437160369f96627fd35ba3e0e831ef936aa53122d66c79a0085bcccb40f"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_generator_output_is_pinned(name):
+    build, digest = PINNED[name]
+    assert hashlib.sha256(serialize(build()).encode()).hexdigest() == digest
 
 
 def test_random_minrep_always_has_a_superedge():

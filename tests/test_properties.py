@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from dcs import (
     FractionalSolution,
     MinRepInstance,
     ParseError,
+    SelfLoop,
     TemporalGraph,
     build_lp,
     check_feasible,
@@ -35,15 +37,18 @@ from dcs import (
     score,
     serialize,
     threshold_grid,
+    temporal,
 )
 from helpers import (
     naive_am_search,
     naive_best,
+    naive_build,
     naive_edge_frames,
     naive_export_lp,
     naive_lp_check,
     naive_lp_rows,
     naive_mcss_greedy,
+    naive_parse,
     naive_superedges,
     naive_value,
     random_connected,
@@ -87,7 +92,7 @@ def test_parse_serialize_round_trip(g):
 def _outcome(build):
     try:
         return build()
-    except ParseError as exc:
+    except (ParseError, TypeError, ValueError) as exc:
         return exc
 
 
@@ -112,6 +117,101 @@ def test_parse_and_constructor_agree_on_bad_edges(n, frames):
         assert str(parsed) == str(built).replace("line 0", f"line {parsed.line}", 1)
     else:
         assert built == parsed
+
+
+def _same_outcome(got, expect):
+    """Equal graphs, or errors of one type with one message and line."""
+    assert type(got) is type(expect)
+    if isinstance(expect, Exception):
+        assert str(got) == str(expect)
+        assert getattr(got, "line", None) == getattr(expect, "line", None)
+    else:
+        assert got == expect
+
+
+LABELS = st.one_of(st.integers(-1, 4), st.sampled_from([0.5, "1", None, True, np.int64(2)]))
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 4),
+    frames=st.lists(
+        st.lists(st.one_of(st.tuples(LABELS, LABELS), st.tuples(LABELS)), max_size=4),
+        min_size=1, max_size=3,
+    ),
+)
+@example(n=3, frames=[[(0, 5), (0.5, 1)]])  # a range fault before a label fault
+@example(n=3, frames=[[(0, 1), (1, 0), (1,)]])  # a duplicate before a non-pair
+def test_constructor_matches_naive_build(n, frames):
+    records = ((0, t, u, v) for t, frame in enumerate(frames) for u, v in frame)
+    _same_outcome(_outcome(lambda: TemporalGraph(n, frames)),
+                  _outcome(lambda: naive_build(n, len(frames), records)))
+
+
+def _spell(token: str, how: int) -> str:
+    """An int token as int() also reads it: '+1', '01' or '1_0'."""
+    if how == 1:
+        return "+" + token
+    if how == 2:
+        return "0" + token
+    if how == 3 and len(token.lstrip("-")) > 1:
+        return token[:-1] + "_" + token[-1]
+    return token
+
+
+@st.composite
+def dcs_texts(draw):
+    """A graph's canonical text, then reordered, faulted and relaid out."""
+    g = draw(graphs(max_n=6, max_t=3))
+    n, t_count = g.n, g.T
+    header, *rows = serialize(g).splitlines()
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        n = 2**40
+        header = f"{n} {t_count}"
+    big = 2**63 + draw(st.integers(0, 2**64))
+    faults = [
+        f"{t_count} 0 1", "-1 0 1",  # frame index
+        f"0 {n} 0", "0 0 -1", f"0 {big} 1", f"{big} 0 1",  # vertex range, big tokens
+        "0 1 1", "0 0 0",  # self-loops
+        "0 1", "0 1 2 3", "0 x 1", "0 1.0 2",  # syntax
+    ]
+    if rows:  # duplicates, as written and reversed
+        t, u, v = draw(st.sampled_from(rows)).split()
+        faults += [f"{t} {u} {v}", f"{t} {v} {u}"]
+    for _ in range(draw(st.integers(0, 2))):  # two faults put a build fault before a syntax one
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(faults)))
+    if draw(st.booleans()):
+        rows = [" ".join(_spell(tok, draw(st.integers(0, 3))) for tok in row.split())
+                for row in rows]
+    lines = [header, *rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# note", "  "])))
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line.replace(" ", sep) + end for line in lines)
+
+
+@PROPERTY
+@given(dcs_texts())
+@example(f"3 1\n0 0 {2**63}\n")
+@example(f"{2**40} 2\n0 0 1\n1 5 {2**40 - 1}\n1 {2**40 - 1} 5\n")
+@example("3 2\n0 0 1\n0 1 1\n0 1\n")  # a self-loop before a syntax fault
+@example("3 2\n+1 01 1_0\n")
+def test_parse_matches_naive_parse(text):
+    expect = _outcome(lambda: naive_parse(text))
+    _same_outcome(_outcome(lambda: parse(text)), expect)
+    _same_outcome(_outcome(lambda: parse(text.encode())), expect)
+
+
+def test_canonical_text_takes_the_array_path(monkeypatch):
+    text = serialize(TemporalGraph(4, [[(0, 1), (2, 3)], [(1, 3)]]))
+    monkeypatch.setattr(temporal, "_line_records", None)
+    assert parse(text) == parse(text.encode()) == naive_parse(text)
+    with pytest.raises(SelfLoop) as info:
+        parse(text + "1 2 2\n")
+    assert info.value.line == 5
 
 
 def test_out_of_range_is_checked_before_self_loop():
