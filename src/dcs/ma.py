@@ -14,6 +14,17 @@ approximation regardless of T.  All solvers are deterministic: greedy ties
 break on the lexicographically smallest pair, and argmax scans keep the
 first best candidate.
 
+Candidates are scored in bulk from the graph's per-frame edge arrays
+(`TemporalGraph.edge_arrays`), never one set at a time: the greedy keeps
+one uncovered-frame bitmask per vertex (uint64 words, bit t for frame t)
+and counts each pair's frames with a popcount, a block of pairs at a time;
+the subset search looks each combination's pairs up in every frame's
+sorted edge keys; the partition search scores all block unions from one
+block-to-block edge-count matrix per frame.  Values are compared exactly,
+by integer cross-multiplication, in the same candidate order as a plain
+scan, so the tie-breaks above are unchanged.  Every report is rescored by
+`objectives.score`, independently of the scan.
+
 Instances with an edgeless frame have optimum zero; solvers then return
 all vertices with the zero_score flag set instead of failing.
 """
@@ -23,11 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable
+from itertools import chain, combinations, islice
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .objectives import MA, Score, score
-from .temporal import TemporalGraph, VertexSet, induced_degrees
+from .temporal import TemporalGraph, VertexSet
 
 
 @dataclass
@@ -73,22 +86,25 @@ def _has_edgeless_frame(g: TemporalGraph) -> bool:
     return any(not fr for fr in g.frames)
 
 
-def _ma_value(g: TemporalGraph, members: tuple[int, ...]) -> Fraction:
-    inside = set(members)
-    worst = None
-    for t in range(g.T):
-        count = sum(induced_degrees(g, t, members, inside)) // 2
-        if worst is None or count < worst:
-            worst = count
-        if worst == 0:
-            break
-    return Fraction(worst, len(members))
+def _frame_words(rows: np.ndarray, frames: np.ndarray, count: int,
+                 t_count: int) -> np.ndarray:
+    """(count, ceil(T/64)) uint64 frame masks: bit t of row i is set where
+    some (rows[k], frames[k]) = (i, t)."""
+    words = np.zeros((count, -(-t_count // 64)), dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (frames & 63).astype(np.uint64))
+    np.bitwise_or.at(words, (rows, frames >> 6), bits)
+    return words
 
 
-def _first_best(g: TemporalGraph, algorithm: str,
-                candidates: Iterable[tuple[int, ...]]) -> SolveReport:
-    """Report the first candidate set with the highest MA value."""
-    return _report(g, algorithm, max(candidates, key=lambda m: _ma_value(g, m)))
+def _frame_bits(words: np.ndarray, t_count: int) -> np.ndarray:
+    """Bool array of frames 0..T-1: whether bit t of the mask `words` is set."""
+    t = np.arange(t_count)
+    return (words[t >> 6] >> (t & 63).astype(np.uint64)) & np.uint64(1) == 1
+
+
+# Greedy pairs, subset pair lookups or partition (union, frame, block) cells
+# scored at once; bounds the scratch arrays of each scan
+_PAIR_BLOCK = 1 << 16
 
 
 def greedy_cover(g: TemporalGraph) -> SolveReport:
@@ -101,34 +117,48 @@ def greedy_cover(g: TemporalGraph) -> SolveReport:
     """
     if _has_edgeless_frame(g):
         return _report(g, "greedy-cover", range(g.n), trace=(), zero_score=True)
-    n = g.n
-    # bit t of a mask stands for frame t; pair_frames[(u, v)]: frames holding edge (u, v)
-    pair_frames = {e: sum(1 << t for t in frames) for e, frames in g.edge_frames.items()}
-    chosen: set[int] = set()
-    uncovered = (1 << g.T) - 1
+    n, t_count = g.n, g.T
+    edges = np.concatenate(g.edge_arrays)
+    frame = np.repeat(np.arange(t_count), [len(e) for e in g.edge_arrays])
+    # union edges by key u*n + v, ascending, with the frames holding each
+    keys = edges[:, 0] * n + edges[:, 1]
+    order = np.argsort(keys, kind="stable")
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[order[1:]] != keys[order[:-1]]
+    pair_keys = keys[order[first]]
+    pair_words = _frame_words(np.cumsum(first) - 1, frame[order], len(pair_keys), t_count)
+    uncovered = _frame_words(np.zeros(t_count, dtype=np.int64), np.arange(t_count), 1, t_count)[0]
+    chosen = np.zeros(n, dtype=bool)
     trace: list[int] = []
-    while uncovered:
-        # Per-vertex masks of uncovered frames where the vertex would attach
-        # to the current set; pair (u, v) additionally covers frames holding
-        # the edge (u, v) itself.
-        near = [0] * n
-        for t in range(g.T):
-            if uncovered >> t & 1:
-                for u, d in enumerate(induced_degrees(g, t, range(n), chosen)):
-                    if d:
-                        near[u] |= 1 << t
-
-        def covers(pair: tuple[int, int]) -> int:
-            u, v = pair
-            return (near[u] | near[v] | pair_frames.get(pair, 0)) & uncovered
-
-        # uncovered frames have edges, so the best pair covers at least one
-        best = max(combinations(range(n), 2), key=lambda pair: covers(pair).bit_count())
-        covered = covers(best)
-        chosen.update(best)
+    rows_per_block = max(1, _PAIR_BLOCK // n)
+    while uncovered.any():
+        # near[u]: uncovered frames where u has a neighbour in the current set;
+        # pair (u, v) covers near[u] | near[v], plus the uncovered frames
+        # holding the edge (u, v) itself
+        open_edge = _frame_bits(uncovered, t_count)[frame]
+        into_u = open_edge & chosen[edges[:, 1]]
+        into_v = open_edge & chosen[edges[:, 0]]
+        near = _frame_words(np.concatenate([edges[into_u, 0], edges[into_v, 1]]),
+                            np.concatenate([frame[into_u], frame[into_v]]), n, t_count)
+        open_pairs = pair_words & uncovered
+        best, best_count = None, 0
+        for a in range(0, n - 1, rows_per_block):
+            # rows u in [a, b), columns v in [a + 1, n); the pair is (a + i, a + 1 + j)
+            b = min(a + rows_per_block, n - 1)
+            covers = near[a:b, None, :] | near[None, a + 1:, :]
+            lo, hi = np.searchsorted(pair_keys, [a * n, b * n])
+            u, v = np.divmod(pair_keys[lo:hi], n)
+            covers[u - a, v - a - 1] |= open_pairs[lo:hi]
+            # zero for v <= u: an uncovered frame has an edge, so the best pair covers >= 1
+            counts = np.triu(np.bitwise_count(covers).sum(axis=2, dtype=np.int64))
+            i, j = np.unravel_index(np.argmax(counts), counts.shape)
+            if counts[i, j] > best_count:  # strictly: an earlier block keeps ties
+                best, best_count = (a + i, a + 1 + j), int(counts[i, j])
+                covered = covers[i, j].copy()
+        chosen[list(best)] = True
         uncovered &= ~covered
-        trace.append(covered.bit_count())
-    return _report(g, "greedy-cover", chosen, trace=tuple(trace))
+        trace.append(best_count)
+    return _report(g, "greedy-cover", np.flatnonzero(chosen).tolist(), trace=tuple(trace))
 
 
 def best_with_all(g: TemporalGraph) -> SolveReport:
@@ -144,6 +174,36 @@ def _int_log(base: int, value: int) -> int:
     return b
 
 
+def _first_max_ratio(num: np.ndarray, den: np.ndarray) -> int:
+    """Index of the first largest num[i] / den[i], by exact cross-multiplication.
+
+    A knockout over adjacent pairs, the earlier entry winning ties, so each
+    survivor is the first best of the run of entries it stands for.
+    """
+    alive = np.arange(len(num))
+    while len(alive) > 1:
+        paired = len(alive) // 2 * 2
+        left, right = alive[0:paired:2], alive[1:paired:2]
+        later = num[right] * den[left] > num[left] * den[right]
+        alive = np.concatenate([np.where(later, right, left), alive[paired:]])
+    return int(alive[0])
+
+
+def _best_scored(scored: Iterable[tuple[Sequence, np.ndarray, np.ndarray]]):
+    """The first candidate with the highest MA value.
+
+    ``scored`` yields chunks (candidates, edge counts, sizes) in candidate
+    order; the value of candidate i is counts[i] / sizes[i].
+    """
+    best = None
+    for candidates, num, den in scored:
+        i = _first_max_ratio(num, den)
+        a, b = int(num[i]), int(den[i])
+        if best is None or a * best[2] > best[1] * b:  # strictly: earlier chunks keep ties
+            best = (candidates[i], a, b)
+    return best[0]
+
+
 def subset_search(g: TemporalGraph) -> SolveReport:
     """Best subset of size at most max(2, floor(log_n T)), exhaustively.
 
@@ -152,11 +212,26 @@ def subset_search(g: TemporalGraph) -> SolveReport:
     """
     n = g.n
     bound = max(2, _int_log(n, g.T)) if n >= 2 else 1
-    return _first_best(g, "subset-search", (
-        members
-        for size in range(1, min(n, bound) + 1)
-        for members in combinations(range(n), size)
-    ))
+    # each frame's edge keys u*n + v, ascending, then n*n past every key
+    frame_keys = [np.append(e[:, 0] * n + e[:, 1], n * n) for e in g.edge_arrays]
+
+    def scored():
+        for size in range(1, min(n, bound) + 1):
+            iu, iv = np.triu_indices(size, 1)  # the pairs inside a combination
+            combos = combinations(range(n), size)
+            chunk = max(1, _PAIR_BLOCK // max(1, len(iu)))
+            while len(block := np.fromiter(chain.from_iterable(islice(combos, chunk)),
+                                           dtype=np.int64).reshape(-1, size)):
+                queries = block[:, iu] * n + block[:, iv]
+                worst = None
+                for keys in frame_keys:
+                    count = (keys[np.searchsorted(keys, queries)] == queries).sum(axis=1)
+                    worst = count if worst is None else np.minimum(worst, count)
+                    if not worst.any():
+                        break
+                yield block, worst, np.full(len(block), size)
+
+    return _report(g, "subset-search", _best_scored(scored()))
 
 
 def partition_blocks(n: int, t_count: int) -> list[tuple[int, ...]]:
@@ -174,13 +249,32 @@ def partition_blocks(n: int, t_count: int) -> list[tuple[int, ...]]:
 
 
 def partition_search(g: TemporalGraph) -> SolveReport:
-    """Evaluate every nonempty union of near-equal contiguous vertex blocks."""
+    """Evaluate every nonempty union of near-equal contiguous vertex blocks.
+
+    Union `mask` holds block i where bit i of the mask is set; unions are
+    scored in mask order from per-frame block-to-block edge counts.
+    """
     blocks = partition_blocks(g.n, g.T)
     r = len(blocks)
-    return _first_best(g, "partition-search", (
-        tuple(v for i in range(r) if mask >> i & 1 for v in blocks[i])
-        for mask in range(1, 1 << r)
-    ))
+    sizes = np.array([len(block) for block in blocks])
+    block_of = np.repeat(np.arange(r), sizes)
+    # row i: frame t's edge counts from block i to each block j, for t = 0..T-1 in turn
+    spread = np.stack([
+        np.bincount(block_of[e[:, 0]] * r + block_of[e[:, 1]], minlength=r * r).reshape(r, r)
+        for e in g.edge_arrays
+    ], axis=1).reshape(r, -1)
+
+    def scored():
+        chunk = max(1, _PAIR_BLOCK // spread.shape[1])
+        for start in range(1, 1 << r, chunk):
+            masks = np.arange(start, min(start + chunk, 1 << r))
+            pick = masks[:, None] >> np.arange(r) & 1  # pick[k, i]: mask k holds block i
+            inner = (pick @ spread).reshape(len(masks), g.T, r) * pick[:, None, :]
+            yield masks, inner.sum(axis=2).min(axis=1), pick @ sizes
+
+    mask = _best_scored(scored())
+    return _report(g, "partition-search",
+                   (v for i in range(r) if mask >> i & 1 for v in blocks[i]))
 
 
 def composite_ma(g: TemporalGraph) -> SolveReport:

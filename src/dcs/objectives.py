@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptySolution, KOrderOutOfRange, VertexOutOfRange
-from .temporal import TemporalGraph, VertexSet, as_int, induced_degrees
+from .temporal import TemporalGraph, VertexSet, as_int
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,16 @@ def score(g: TemporalGraph, s: VertexSet | Iterable[int], kind: ObjectiveKind) -
         raise VertexOutOfRange(f"vertex {s.members[-1]} outside graph range [0, {g.n})")
     kind.check_order(g.T)
 
-    inside = set(s.members)
-    measure = min if kind.min_degree else sum
-    per = [measure(induced_degrees(g, t, s.members, inside)) for t in range(g.T)]
+    members = np.array(s.members)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[members] = True
+    per = []
+    for edges in g.edge_arrays:
+        induced = edges[inside[edges].all(axis=1)]
+        if kind.min_degree:
+            per.append(int(np.bincount(induced.ravel(), minlength=g.n)[members].min()))
+        else:
+            per.append(2 * len(induced))
     divisor = kind.divisor(len(s.members))
     return Score(Fraction(int(kind.aggregate(per)), divisor),
                  tuple(Fraction(m, divisor) for m in per))

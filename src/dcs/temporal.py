@@ -1,8 +1,8 @@
 """Graph sequences on a shared vertex set, and the .dcs text format.
 
 A temporal graph is a sequence of T simple undirected graphs (frames)
-over the same vertices 0..n-1, indexed by two cached views, `adjacency`
-and `edge_frames`.  The on-disk format is plain text:
+over the same vertices 0..n-1, indexed by three cached views, `adjacency`,
+`edge_frames` and `edge_arrays`.  The on-disk format is plain text:
 
     line 1:             "<n> <T>"
     every other line:   "<t> <u> <v>"   one edge of frame t, 0-based
@@ -20,6 +20,7 @@ the first faulty record in file order.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from operator import index
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -43,14 +44,15 @@ Edge = tuple[int, int]
 class TemporalGraph:
     """Immutable sequence of frames over vertices 0..n-1.
 
-    Frames are stored as sorted tuples of normalized edges (u < v).  Two
+    Frames are stored as sorted tuples of normalized edges (u < v).  Three
     derived views are computed on first use and cached: the per-frame
-    adjacency index (`adjacency`) and the frames holding each union edge
-    (`edge_frames`).  The frames never change after construction, so a
-    concurrent first use can only compute the same value twice.
+    adjacency index (`adjacency`), the frames holding each union edge
+    (`edge_frames`) and the per-frame edge arrays (`edge_arrays`).  The
+    frames never change after construction, so a concurrent first use can
+    only compute the same value twice.
     """
 
-    __slots__ = ("n", "frames", "_adj", "_edge_frames")
+    __slots__ = ("n", "frames", "_adj", "_edge_frames", "_edge_arrays")
 
     def __init__(self, n: int, frames: Iterable[Iterable[Edge]]):
         frames = tuple(frames)
@@ -110,6 +112,7 @@ class TemporalGraph:
         self.frames = tuple(tuple(edges[a:b]) for a, b in zip([0] + ends, ends))
         self._adj: tuple[tuple[frozenset[int], ...], ...] | None = None
         self._edge_frames: Mapping[Edge, tuple[int, ...]] | None = None
+        self._edge_arrays: tuple[np.ndarray, ...] | None = None
 
     @property
     def T(self) -> int:
@@ -126,6 +129,18 @@ class TemporalGraph:
                     frames_of[e] = frames_of.get(e, ()) + only_t
             self._edge_frames = MappingProxyType({e: frames_of[e] for e in sorted(frames_of)})
         return self._edge_frames
+
+    @property
+    def edge_arrays(self) -> tuple[np.ndarray, ...]:
+        """Read-only (m_t, 2) int64 edge array of each frame, rows (u, v) with u < v
+        in the frame's sorted order."""
+        if self._edge_arrays is None:
+            sizes = [len(frame_edges) for frame_edges in self.frames]
+            flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.frames)),
+                               dtype=np.int64, count=2 * sum(sizes)).reshape(-1, 2)
+            flat.flags.writeable = False
+            self._edge_arrays = tuple(np.split(flat, np.cumsum(sizes[:-1])))
+        return self._edge_arrays
 
     @property
     def union_edges(self) -> tuple[Edge, ...]:
@@ -200,16 +215,6 @@ class VertexSet:
 
     def __repr__(self) -> str:
         return f"VertexSet({list(self.members)})"
-
-
-def induced_degrees(g: TemporalGraph, t: int, vertices: Iterable[int],
-                    inside: set[int] | frozenset[int]) -> list[int]:
-    """Number of frame-t neighbors in `inside` of each of `vertices`, in order.
-
-    With vertices = inside these are the degrees of the induced subgraph.
-    """
-    adj = g.adjacency(t)
-    return [len(adj[v] & inside) for v in vertices]
 
 
 # The text serialize writes: ASCII digits, single spaces, "\n" line ends.

@@ -23,6 +23,7 @@ from dcs import (
 )
 from dcs.errors import MalformedEdgeLine
 from dcs.lp import LPConstraint
+from dcs.ma import SolveReport, _int_log, _report, partition_blocks
 from dcs.rng import substream
 
 
@@ -389,3 +390,68 @@ def naive_superedges(mr) -> dict:
             if edges:
                 groups[(i, j)] = edges
     return groups
+
+
+def naive_ma_value(g: TemporalGraph, members) -> Fraction:
+    """MA value of a vertex tuple, by one set intersection per (vertex, frame)."""
+    inside = set(members)
+    worst = min(sum(len(g.adjacency(t)[v] & inside) for v in members) // 2
+                for t in range(g.T))
+    return Fraction(worst, len(members))
+
+
+def _naive_first_best(g: TemporalGraph, algorithm: str, candidates) -> SolveReport:
+    """Report the first candidate set with the highest MA value."""
+    return _report(g, algorithm, max(candidates, key=lambda m: naive_ma_value(g, m)))
+
+
+def naive_greedy_cover(g: TemporalGraph) -> SolveReport:
+    """The greedy frame cover by a Python scan of every pair at every step."""
+    if any(not frame for frame in g.frames):
+        return _report(g, "greedy-cover", range(g.n), trace=(), zero_score=True)
+    n = g.n
+    # bit t of a mask stands for frame t; pair_frames[(u, v)]: frames holding edge (u, v)
+    pair_frames = {e: sum(1 << t for t in frames) for e, frames in g.edge_frames.items()}
+    chosen: set[int] = set()
+    uncovered = (1 << g.T) - 1
+    trace: list[int] = []
+    while uncovered:
+        # near[u]: uncovered frames where u has a neighbour in the current set
+        near = [0] * n
+        for t in range(g.T):
+            if uncovered >> t & 1:
+                for u in range(n):
+                    if g.adjacency(t)[u] & chosen:
+                        near[u] |= 1 << t
+
+        def covers(pair: tuple[int, int]) -> int:
+            u, v = pair
+            return (near[u] | near[v] | pair_frames.get(pair, 0)) & uncovered
+
+        best = max(combinations(range(n), 2), key=lambda pair: covers(pair).bit_count())
+        covered = covers(best)
+        chosen.update(best)
+        uncovered &= ~covered
+        trace.append(covered.bit_count())
+    return _report(g, "greedy-cover", chosen, trace=tuple(trace))
+
+
+def naive_subset_search(g: TemporalGraph) -> SolveReport:
+    """Every subset of size at most max(2, floor(log_n T)), scored one by one."""
+    n = g.n
+    bound = max(2, _int_log(n, g.T)) if n >= 2 else 1
+    return _naive_first_best(g, "subset-search", (
+        members
+        for size in range(1, min(n, bound) + 1)
+        for members in combinations(range(n), size)
+    ))
+
+
+def naive_partition_search(g: TemporalGraph) -> SolveReport:
+    """Every nonempty union of the partition blocks, scored one by one in mask order."""
+    blocks = partition_blocks(g.n, g.T)
+    r = len(blocks)
+    return _naive_first_best(g, "partition-search", (
+        tuple(v for i in range(r) if mask >> i & 1 for v in blocks[i])
+        for mask in range(1, 1 << r)
+    ))

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -23,19 +24,25 @@ from dcs import (
     ParseError,
     SelfLoop,
     TemporalGraph,
+    best_with_all,
     build_lp,
     check_feasible,
+    composite_ma,
     check_spanning,
     exact_am,
     exact_best,
     export_lp,
     fpt_approx_am,
+    greedy_cover,
+    ma,
     mcss_greedy_run,
     parse,
+    partition_search,
     potential,
     random_minrep,
     score,
     serialize,
+    subset_search,
     threshold_grid,
     temporal,
 )
@@ -45,13 +52,18 @@ from helpers import (
     naive_build,
     naive_edge_frames,
     naive_export_lp,
+    naive_greedy_cover,
     naive_lp_check,
     naive_lp_rows,
     naive_mcss_greedy,
     naive_parse,
+    naive_partition_search,
     naive_superedges,
+    naive_subset_search,
     naive_value,
     random_connected,
+    random_nonedgeless,
+    random_temporal,
 )
 
 # Seeded and database-free, so every run draws the same examples.
@@ -345,3 +357,59 @@ def test_superedges_match_naive_per_pair_filter(data):
         got = inst.superedges()
         assert list(got.items()) == list(naive_superedges(inst).items())
         assert list(got) == sorted(got)
+
+
+@st.composite
+def ma_graphs(draw):
+    """Random instances for the MA solvers: T past 64 (multi-word frame
+    masks) and T >= n^3 (subsets of 3 or more searched) included."""
+    n = draw(st.sampled_from(range(1, 10)))
+    t_count = draw(st.sampled_from([1, 2, 3, 4, 6, 9, 27, 64, 65, 70, 130]))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0, None, 0.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if n >= 2 and draw(st.sampled_from([True, True, False])):  # mostly no edgeless frame
+        g = random_nonedgeless(rng, n, t_count, density)
+    else:
+        g = random_temporal(rng, n, t_count, density)
+    if draw(st.booleans()):  # every frame alike: every union ties across frames
+        g = TemporalGraph(n, [g.frames[0]] * t_count)
+    return g
+
+
+COMPLETE_5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+
+
+@PROPERTY
+@given(ma_graphs())
+@example(TemporalGraph(1, [[]]))
+@example(TemporalGraph(2, [[(0, 1)]]))
+@example(TemporalGraph(2, [[(0, 1)], []]))
+@example(TemporalGraph(3, [[(0, 1)], [(1, 2)], [(0, 2)]] * 9))  # T = n^3: triples searched
+@example(TemporalGraph(4, [[(0, 1), (2, 3)], [(1, 2)]] * 35))  # T = 70 >= n^3
+@example(TemporalGraph(5, [COMPLETE_5] * 130))  # dense ties, three mask words
+@example(TemporalGraph(9, [[(t % 8, t % 8 + 1)] for t in range(72)]))  # a path, edge by edge
+def test_ma_solvers_match_naive_scans(g):
+    greedy = naive_greedy_cover(g)
+    subset = naive_subset_search(g)
+    partition = naive_partition_search(g)
+    everything = ma._all_vertices(g)
+    expected = {
+        greedy_cover: greedy,
+        subset_search: subset,
+        partition_search: partition,
+        best_with_all: ma._best_of("best-with-all", [everything, greedy]),
+        composite_ma: ma._best_of("composite-ma", [greedy, subset, partition, everything]),
+    }
+    # a block of 3: ties meet across greedy row blocks and scoring chunks
+    for block in (ma._PAIR_BLOCK, 3):
+        with patch.object(ma, "_PAIR_BLOCK", block):
+            for solver, report in expected.items():
+                assert solver(g) == report, (solver.__name__, block)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 12)), min_size=1, max_size=40))
+def test_first_max_ratio_is_the_first_best_fraction(pairs):
+    num, den = (np.array(column) for column in zip(*pairs))
+    values = [Fraction(a, b) for a, b in pairs]
+    assert ma._first_max_ratio(num, den) == values.index(max(values))

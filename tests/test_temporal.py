@@ -179,6 +179,17 @@ def test_adjacency_built_on_first_use():
     assert g.adjacency(1) is g.adjacency(1)
 
 
+def test_edge_arrays_built_on_first_use():
+    g = parse(TINY)
+    assert g._edge_arrays is None
+    arrays = g.edge_arrays
+    assert arrays is g.edge_arrays
+    assert [a.tolist() for a in arrays] == [[list(e) for e in f] for f in g.frames]
+    assert all(a.dtype == np.int64 and a.shape == (len(f), 2) for a, f in zip(arrays, g.frames))
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0][0, 0] = 2
+
+
 def test_union_edges():
     g = parse(TINY)
     assert g.union_edges == ((0, 1), (1, 2))
