@@ -8,9 +8,14 @@ variant restricts each k_i to the rounded geometric grid
 {0} union {floor((1+eps)^l)} and is within a (1+eps) factor of exact.
 
 Vector enumeration is lexicographic with two sound prunings that never
-change the result: once a vector's core is empty every componentwise
-larger vector is skipped (a frontier of minimal empty vectors is kept),
-and branches that cannot strictly beat the incumbent sum are cut.
+change the result: branches that cannot strictly beat the incumbent sum
+are cut, and every componentwise superset of an empty-core vector is
+skipped.  Minimal empty vectors form a frontier, read once per node:
+below prefix (frames 0..t-1) an entry e dominates (prefix, k, 0, ...) iff
+e is zero after t, e <= prefix before t and e[t] <= k, so frame t's loop
+stops at k_dom, the least e[t] over those entries.  Entries recorded
+deeper are nonzero after t (the k = 0 child is its parent's nonempty
+core), so none joins or leaves that set while the loop runs.
 
 Every peel starts from a core that already contains its answer, together
 with that core's exact per-frame degrees, so no peel recomputes degrees:
@@ -31,6 +36,7 @@ keeps the degrees handed on exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import le
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded
@@ -71,20 +77,19 @@ def _peel(
     ones are exact for the returned set (entries of removed vertices are
     stale).  The arguments are never modified.
     """
-    stack = [v for t in frames for v in alive if deg[t][v] < kv[t]]
+    stack = [v for t in frames if kv[t] for v in alive if deg[t][v] < kv[t]]
     if not stack:
         return alive, deg
-    adjs = [g.adjacency(t) for t in range(g.T)]
     left = set(alive)
     deg = [row[:] for row in deg]
+    steps = [(g.adjacency(t), deg[t], kv[t] - 1) for t in range(g.T)]
     while stack:
         v = stack.pop()
         if v not in left:
             continue
         left.remove(v)
-        for t in range(g.T):
-            d, below = deg[t], kv[t] - 1
-            for w in adjs[t][v]:
+        for adj, d, below in steps:
+            for w in adj[v]:
                 if w in left:
                     d[w] -= 1
                     if d[w] == below:
@@ -112,6 +117,9 @@ def _search(g: TemporalGraph, grid: Sequence[int],
     vector attaining the best sum, and that sum; the cap counts vectors
     actually peeled and raises BudgetExceeded past it.
     """
+    max_vectors = as_int(max_vectors, "max_vectors")
+    if max_vectors < 1:
+        raise ValueError(f"max_vectors must be at least 1, got {max_vectors}")
     t_count = g.T
     values_per_frame = [[k for k in grid if k <= cap]
                         for cap in map(g.max_degree, range(t_count))]
@@ -122,9 +130,6 @@ def _search(g: TemporalGraph, grid: Sequence[int],
     suffix_max = [0] * (t_count + 1)
     for t in range(t_count - 1, -1, -1):
         suffix_max[t] = suffix_max[t + 1] + values_per_frame[t][-1]
-
-    def dominated(vec: CoreVector) -> bool:
-        return any(all(vec[i] >= e[i] for i in range(t_count)) for e in empties)
 
     def record_empty(vec: CoreVector) -> None:
         nonlocal empties
@@ -139,10 +144,13 @@ def _search(g: TemporalGraph, grid: Sequence[int],
         nonlocal best_value, best_core, visited
         if sum(prefix) + suffix_max[t] <= best_value:
             return
+        zeros = (0,) * (t_count - t - 1)
+        k_dom = min((e[t] for e in empties
+                     if e[t + 1:] == zeros and all(map(le, e, prefix))), default=g.n)
         for k in values_per_frame[t]:
-            vec = prefix + (k,) + (0,) * (t_count - t - 1)
-            if dominated(vec):
+            if k >= k_dom:
                 break
+            vec = prefix + (k,) + zeros
             visited += 1
             if visited > max_vectors:
                 raise BudgetExceeded(
@@ -168,7 +176,7 @@ def exact_am(g: TemporalGraph, max_vectors: int = _MAX_VECTORS) -> tuple[VertexS
     """Exact optimum of the degree-sum objective for small T.
 
     Enumerates k_i in [0, maxdeg(frame i)] with dominance pruning, under
-    the peel cap `max_vectors`.
+    the peel cap `max_vectors`, an integer of at least 1.
     """
     return _search(g, range(g.n), max_vectors)
 

@@ -259,6 +259,54 @@ def naive_am_search(g: TemporalGraph, values_per_frame):
     return best
 
 
+def naive_pruned_am_search(g: TemporalGraph, values_per_frame):
+    """The threshold search with a per-vector scan of the empty frontier.
+
+    Walks (prefix, k, 0, ...) in am._search's order with its two prunings,
+    but tests every vector against every recorded minimal empty vector and
+    peels every vector from scratch.  Returns (core, value, peels): the
+    core of the first vector with the best sum, that sum and the number
+    of vectors peeled.
+    """
+    t_count = g.T
+    suffix_max = [0] * (t_count + 1)
+    for t in range(t_count - 1, -1, -1):
+        suffix_max[t] = suffix_max[t + 1] + values_per_frame[t][-1]
+    best_value, best_core = -1, frozenset(range(g.n))
+    empties = []
+    peels = 0
+
+    def dominated(vec):
+        return any(all(vec[i] >= e[i] for i in range(t_count)) for e in empties)
+
+    def record_empty(vec):
+        nonlocal empties
+        empties = [e for e in empties if not all(e[i] >= vec[i] for i in range(t_count))]
+        empties.append(vec)
+
+    def descend(t, prefix):
+        nonlocal best_value, best_core, peels
+        if sum(prefix) + suffix_max[t] <= best_value:
+            return
+        for k in values_per_frame[t]:
+            vec = prefix + (k,) + (0,) * (t_count - t - 1)
+            if dominated(vec):
+                break
+            peels += 1
+            alive = naive_core(g, vec, random.Random(0))
+            if not alive:
+                record_empty(vec)
+                break
+            if t == t_count - 1:
+                if sum(vec) > best_value:
+                    best_value, best_core = sum(vec), alive
+            else:
+                descend(t + 1, prefix + (k,))
+
+    descend(0, ())
+    return best_core, best_value, peels
+
+
 def naive_lp_check(g: TemporalGraph, f) -> bool:
     """Feasibility of (y, x, z) in the density LP, each bound and constraint
     written out by hand."""

@@ -139,6 +139,37 @@ def test_fpt_approx_am_runs_under_the_peel_cap(monkeypatch):
         fpt_approx_am(g, Fraction(1, 100))
 
 
+def test_exact_am_frontier_stops_an_inner_frame_loop():
+    # Three copies of the path 0-1-2-3: each frame has a 1-core and no
+    # 2-core.  (0, 2, 0) is recorded empty under prefix (0,), so below
+    # prefix (1,) the frame-1 loop stops at k = 2 without peeling
+    # (1, 2, 0); the search peels 17 vectors.
+    path = [(0, 1), (1, 2), (2, 3)]
+    g = TemporalGraph(4, [path, path, path])
+    solution, value = exact_am(g, max_vectors=17)
+    assert solution.members == (0, 1, 2, 3) and value == 3
+    with pytest.raises(BudgetExceeded, match="exceeded cap 16$"):
+        exact_am(g, max_vectors=16)
+
+
+@pytest.mark.parametrize("bad", [100.5, "7", None, 1.0])
+def test_exact_am_rejects_non_integer_caps(bad):
+    with pytest.raises(ValueError, match=f"max_vectors must be an integer, got {bad!r}"):
+        exact_am(TINY, max_vectors=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -3, False])
+def test_exact_am_rejects_caps_below_one(bad):
+    with pytest.raises(ValueError, match=f"max_vectors must be at least 1, got {int(bad)}"):
+        exact_am(TINY, max_vectors=bad)
+
+
+def test_exact_am_cap_message_names_the_integer_cap():
+    with pytest.raises(BudgetExceeded, match="exceeded cap 1$"):
+        exact_am(K4_PATH, max_vectors=True)
+    assert exact_am(K4_PATH, max_vectors=np.int64(100)) == exact_am(K4_PATH)
+
+
 def test_fpt_examples():
     solution, value = fpt_approx_am(TINY, 1)
     assert value == 2 and solution.members == (0, 1)

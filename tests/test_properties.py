@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dcs import (
     AA,
     AM,
+    BudgetExceeded,
     KMA,
     MA,
     MM,
@@ -24,6 +25,7 @@ from dcs import (
     ParseError,
     SelfLoop,
     TemporalGraph,
+    am,
     best_with_all,
     build_lp,
     check_feasible,
@@ -58,6 +60,7 @@ from helpers import (
     naive_mcss_greedy,
     naive_parse,
     naive_partition_search,
+    naive_pruned_am_search,
     naive_superedges,
     naive_subset_search,
     naive_value,
@@ -279,6 +282,25 @@ def test_am_search_matches_naive_lexicographic_search(g):
         want_core, want_value, _ = naive_am_search(g, values)
         solution, value = fpt_approx_am(g, eps)
         assert (frozenset(solution), value) == (want_core, want_value)
+
+
+@PROPERTY
+@given(graphs(max_n=10, max_t=4))
+def test_am_search_peels_as_many_vectors_as_the_per_vector_frontier_scan(g):
+    grids = [range(g.n)] + [
+        threshold_grid(eps, g.n - 1) for eps in (Fraction(1, 2), Fraction(1), Fraction(2))
+    ]
+    for grid in grids:
+        values = [[k for k in grid if k <= g.max_degree(t)] for t in range(g.T)]
+        want_core, want_value, peels = naive_pruned_am_search(g, values)
+        solution, value = am._search(g, grid, peels)
+        assert (frozenset(solution), value) == (want_core, want_value)
+        if peels == 1:  # only one vector to peel: the cap cannot go lower
+            with pytest.raises(ValueError, match="max_vectors must be at least 1"):
+                am._search(g, grid, 0)
+        else:
+            with pytest.raises(BudgetExceeded, match=f"exceeded cap {peels - 1}$"):
+                am._search(g, grid, peels - 1)
 
 
 @PROPERTY
