@@ -313,8 +313,7 @@ def gen_padded_sequence(
         raise ValueError(f"pad_count must be >= 0, got {pad_count}")
     prob = float(amb) ** (-3.0 * float(eps_prime))
     ambient = np.arange(amb)
-    tuv = [_records(t, *np.array(frame, dtype=np.int64).reshape(-1, 2).T)
-           for t, frame in enumerate(base.frames)]
+    tuv = [_records(t, *edges.T) for t, edges in enumerate(base.edge_arrays)]
     for t in range(base.T, base.T + pad_count):
         tuv.append(_records(t, *_er_edges(substream(seed, t), ambient, prob)))
     return TemporalGraph._from_array(base.n, base.T + pad_count, np.concatenate(tuv))

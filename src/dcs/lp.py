@@ -36,7 +36,7 @@ from . import oracle as _oracle
 from .errors import DcsError, DomainMismatch
 from .generators import gen_gap_instance
 from .objectives import MA
-from .temporal import Edge, TemporalGraph
+from .temporal import Edge, TemporalGraph, label_strings
 
 
 @dataclass
@@ -95,19 +95,12 @@ class _Rows(Sequence[LPConstraint]):
         return LPConstraint(f"frame_{t}", terms, "<=", 0)
 
 
-def edge_var(e: Edge) -> str:
-    return f"x_{e[0]}_{e[1]}"
-
-
 def build_lp(g: TemporalGraph) -> LPModel:
     """Model with n + |E| + 1 variables and 1 + 2|E| + T constraints."""
-    union = g.union_edges
-    columns: list[list[int]] = [[] for _ in range(g.T)]
-    for c, frames in enumerate(g.edge_frames.values(), g.n):
-        for t in frames:
-            columns[t].append(c)
-    variables = (*(f"y{i}" for i in range(g.n)), *map(edge_var, union), "z")
-    return LPModel(variables, union, tuple(map(tuple, columns)))
+    union, label = g.union_edges, label_strings(g)
+    variables = (*(f"y{i}" for i in range(g.n)),
+                 *(f"x_{label[u]}_{label[v]}" for u, v in union), "z")
+    return LPModel(variables, union, tuple(tuple((p + g.n).tolist()) for p in g.union_index()[1]))
 
 
 def export_lp(model: LPModel) -> str:
@@ -115,7 +108,7 @@ def export_lp(model: LPModel) -> str:
     var = model.variables
     n = len(var) - len(model.edges) - 1
     lines = ["Maximize", " obj: z", "Subject To", f" normalize: {' + '.join(var[:n])} = 1"]
-    lines += [f" {xe}_le_y{u}: {xe} - y{u} <= 0\n {xe}_le_y{v}: {xe} - y{v} <= 0"
+    lines += [f" {xe}_le_{var[u]}: {xe} - {var[u]} <= 0\n {xe}_le_{var[v]}: {xe} - {var[v]} <= 0"
               for xe, (u, v) in zip(var[n:], model.edges)]
     lines += [f" frame_{t}: {' - '.join(['z', *map(var.__getitem__, cols)])} <= 0"
               for t, cols in enumerate(model.frame_columns)]
@@ -133,12 +126,11 @@ def check_feasible(
     """
     if set(f.y) != set(range(g.n)):
         raise DomainMismatch("y must assign exactly the graph's vertices")
-    if f.x.keys() != g.edge_frames.keys():
+    if f.x.keys() != set(g.union_edges):
         raise DomainMismatch("x must assign exactly the union edges")
-    value = {f"y{v}": Fraction(val) for v, val in f.y.items()}
-    value.update((edge_var(e), Fraction(val)) for e, val in f.x.items())
-    value["z"] = Fraction(f.z)
     model = build_lp(g)
+    values = [*map(f.y.__getitem__, range(g.n)), *map(f.x.__getitem__, model.edges), f.z]
+    value = dict(zip(model.variables, map(Fraction, values)))
     violations: list[str] = []
     for c in model.constraints:
         lhs = sum((coef * value[name] for coef, name in c.terms), Fraction(0))

@@ -83,7 +83,7 @@ def _all_vertices(g: TemporalGraph) -> SolveReport:
 
 
 def _has_edgeless_frame(g: TemporalGraph) -> bool:
-    return any(not fr for fr in g.frames)
+    return not all(map(len, g.edge_arrays))
 
 
 def _frame_words(rows: np.ndarray, frames: np.ndarray, count: int,
@@ -120,13 +120,8 @@ def greedy_cover(g: TemporalGraph) -> SolveReport:
     n, t_count = g.n, g.T
     edges = np.concatenate(g.edge_arrays)
     frame = np.repeat(np.arange(t_count), [len(e) for e in g.edge_arrays])
-    # union edges by key u*n + v, ascending, with the frames holding each
-    keys = edges[:, 0] * n + edges[:, 1]
-    order = np.argsort(keys, kind="stable")
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[order[1:]] != keys[order[:-1]]
-    pair_keys = keys[order[first]]
-    pair_words = _frame_words(np.cumsum(first) - 1, frame[order], len(pair_keys), t_count)
+    (union_u, union_v), positions = g.union_index()  # sorted by (u, v)
+    pair_words = _frame_words(np.concatenate(positions), frame, len(union_u), t_count)
     uncovered = _frame_words(np.zeros(t_count, dtype=np.int64), np.arange(t_count), 1, t_count)[0]
     chosen = np.zeros(n, dtype=bool)
     trace: list[int] = []
@@ -146,8 +141,8 @@ def greedy_cover(g: TemporalGraph) -> SolveReport:
             # rows u in [a, b), columns v in [a + 1, n); the pair is (a + i, a + 1 + j)
             b = min(a + rows_per_block, n - 1)
             covers = near[a:b, None, :] | near[None, a + 1:, :]
-            lo, hi = np.searchsorted(pair_keys, [a * n, b * n])
-            u, v = np.divmod(pair_keys[lo:hi], n)
+            lo, hi = np.searchsorted(union_u, [a, b])
+            u, v = union_u[lo:hi], union_v[lo:hi]
             covers[u - a, v - a - 1] |= open_pairs[lo:hi]
             # zero for v <= u: an uncovered frame has an edge, so the best pair covers >= 1
             counts = np.triu(np.bitwise_count(covers).sum(axis=2, dtype=np.int64))

@@ -1,8 +1,8 @@
 """Graph sequences on a shared vertex set, and the .dcs text format.
 
 A temporal graph is a sequence of T simple undirected graphs (frames)
-over the same vertices 0..n-1, indexed by three cached views, `adjacency`,
-`edge_frames` and `edge_arrays`.  The on-disk format is plain text:
+over the same vertices 0..n-1 (n <= 2**63), stored as int64 edge arrays
+with cached views.  The on-disk format is plain text:
 
     line 1:             "<n> <T>"
     every other line:   "<t> <u> <v>"   one edge of frame t, 0-based
@@ -20,7 +20,6 @@ the first faulty record in file order.
 from __future__ import annotations
 
 import re
-from itertools import chain
 from operator import index
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -44,15 +43,14 @@ Edge = tuple[int, int]
 class TemporalGraph:
     """Immutable sequence of frames over vertices 0..n-1.
 
-    Frames are stored as sorted tuples of normalized edges (u < v).  Three
-    derived views are computed on first use and cached: the per-frame
-    adjacency index (`adjacency`), the frames holding each union edge
-    (`edge_frames`) and the per-frame edge arrays (`edge_arrays`).  The
-    frames never change after construction, so a concurrent first use can
-    only compute the same value twice.
+    The storage is `edge_arrays`: one read-only (m_t, 2) int64 array per
+    frame, rows (u, v) with u < v in ascending order.  Three views are built
+    from it on first use and cached: `frames`, `adjacency` and the union
+    index (`union_index`, `union_edges`, `edge_frames`).  The arrays never
+    change, so a concurrent first use can only compute the same value twice.
     """
 
-    __slots__ = ("n", "frames", "_adj", "_edge_frames", "_edge_arrays")
+    __slots__ = ("n", "edge_arrays", "_frames", "_adj", "_union", "_union_edges", "_edge_frames")
 
     def __init__(self, n: int, frames: Iterable[Iterable[Edge]]):
         frames = tuple(frames)
@@ -69,7 +67,7 @@ class TemporalGraph:
 
     def _build(self, n: int, t_count: int, tuv: np.ndarray | list[tuple[int, ...]],
                lines: Sequence[int] | None = None, pending: Exception | None = None) -> None:
-        """Validate (t, u, v) edge records and store the frames.
+        """Validate (t, u, v) edge records and store them as `edge_arrays`.
 
         The one edge check on every path into a graph.  ``tuv`` holds the
         records read before ``pending``, the first fault a record shows on
@@ -81,6 +79,8 @@ class TemporalGraph:
         """
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
+        if n > 1 << 63:
+            raise ValueError(f"vertex count must be <= 2**63, got {n}")
         if t_count < 1:
             raise ValueError("at least one frame is required")
         try:
@@ -106,46 +106,64 @@ class TemporalGraph:
             raise pending
         if order is not None:
             t, lo, hi = t[order], lo[order], hi[order]
-        edges = list(zip(lo.tolist(), hi.tolist()))
-        ends = np.bincount(t.astype(np.int64, copy=False), minlength=t_count).cumsum().tolist()
+        edges = np.stack((lo, hi), axis=1).astype(np.int64, copy=False)
+        edges.flags.writeable = False
+        ends = np.bincount(t.astype(np.int64, copy=False), minlength=t_count).cumsum()
         self.n = n
-        self.frames = tuple(tuple(edges[a:b]) for a, b in zip([0] + ends, ends))
-        self._adj: tuple[tuple[frozenset[int], ...], ...] | None = None
-        self._edge_frames: Mapping[Edge, tuple[int, ...]] | None = None
-        self._edge_arrays: tuple[np.ndarray, ...] | None = None
+        self.edge_arrays: tuple[np.ndarray, ...] = tuple(np.split(edges, ends[:-1]))
+        self._frames = self._adj = self._union = self._union_edges = self._edge_frames = None
 
     @property
     def T(self) -> int:
-        return len(self.frames)
+        return len(self.edge_arrays)
+
+    @property
+    def frames(self) -> tuple[tuple[Edge, ...], ...]:
+        """Each frame's edges as sorted (u, v) tuples, u < v (built once, then cached)."""
+        if self._frames is None:
+            # tuple() of a list, not of a zip: growing and shrinking a tuple fragments the heap
+            self._frames = tuple(tuple(list(zip(*e.T.tolist()))) for e in self.edge_arrays)
+        return self._frames
+
+    def union_index(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """((u, v), positions), built once from one sort of all edges: the union
+        edges, sorted, as the rows u and v of a read-only (2, k) int64 array,
+        and per frame, a read-only int64 array of each edge's index in them."""
+        if self._union is None:
+            n, edges = self.n, np.concatenate(self.edge_arrays)
+            # frames are ascending runs, which a stable (merging) sort takes fast;
+            # u * n + v sorts as (u, v) wherever it cannot pass int64
+            order = (np.argsort(edges[:, 0] * n + edges[:, 1], kind="stable") if n < 1 << 31
+                     else np.lexsort(edges.T[::-1]))
+            ranked = edges[order]
+            first = np.diff(ranked, axis=0, prepend=-1).any(axis=1)  # row 0 and each new row
+            position = np.empty(len(ranked), dtype=np.int64)
+            position[order] = first.cumsum() - 1
+            union = np.ascontiguousarray(ranked[first].T)
+            union.flags.writeable = position.flags.writeable = False
+            ends = np.cumsum([len(e) for e in self.edge_arrays])[:-1]
+            self._union = union, tuple(np.split(position, ends))
+        return self._union
+
+    @property
+    def union_edges(self) -> tuple[Edge, ...]:
+        """Sorted union of all frame edge sets: the keys of `edge_frames`."""
+        if self._union_edges is None:
+            self._union_edges = tuple(list(zip(*self.union_index()[0].tolist())))  # see frames
+        return self._union_edges
 
     @property
     def edge_frames(self) -> Mapping[Edge, tuple[int, ...]]:
         """Read-only map of each union edge, in sorted order, to its ascending frames."""
         if self._edge_frames is None:
-            frames_of: dict[Edge, tuple[int, ...]] = {}
-            for t, frame_edges in enumerate(self.frames):
+            union = self.union_edges
+            frames_of: list[tuple[int, ...]] = [()] * len(union)
+            for t, positions in enumerate(self.union_index()[1]):
                 only_t = (t,)  # () + only_t is only_t: one-frame edges share it
-                for e in frame_edges:
-                    frames_of[e] = frames_of.get(e, ()) + only_t
-            self._edge_frames = MappingProxyType({e: frames_of[e] for e in sorted(frames_of)})
+                for i in positions.tolist():
+                    frames_of[i] += only_t
+            self._edge_frames = MappingProxyType(dict(zip(union, frames_of)))
         return self._edge_frames
-
-    @property
-    def edge_arrays(self) -> tuple[np.ndarray, ...]:
-        """Read-only (m_t, 2) int64 edge array of each frame, rows (u, v) with u < v
-        in the frame's sorted order."""
-        if self._edge_arrays is None:
-            sizes = [len(frame_edges) for frame_edges in self.frames]
-            flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.frames)),
-                               dtype=np.int64, count=2 * sum(sizes)).reshape(-1, 2)
-            flat.flags.writeable = False
-            self._edge_arrays = tuple(np.split(flat, np.cumsum(sizes[:-1])))
-        return self._edge_arrays
-
-    @property
-    def union_edges(self) -> tuple[Edge, ...]:
-        """Sorted union of all frame edge sets: the keys of `edge_frames`."""
-        return tuple(self.edge_frames)
 
     def adjacency(self, t: int) -> tuple[frozenset[int], ...]:
         """Neighbor sets of frame t, indexed by vertex (built once, then cached)."""
@@ -153,9 +171,9 @@ class TemporalGraph:
             raise FrameIndexOutOfRange(f"frame {t} not in [0, {self.T})")
         if self._adj is None:
             adj = []
-            for frame_edges in self.frames:
+            for edges in self.edge_arrays:
                 nbrs: list[set[int]] = [set() for _ in range(self.n)]
-                for u, v in frame_edges:
+                for u, v in edges.tolist():
                     nbrs[u].add(v)
                     nbrs[v].add(u)
                 adj.append(tuple(frozenset(s) for s in nbrs))
@@ -168,10 +186,11 @@ class TemporalGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalGraph):
             return NotImplemented
-        return self.n == other.n and self.frames == other.frames
+        return (self.n == other.n and self.T == other.T
+                and all(map(np.array_equal, self.edge_arrays, other.edge_arrays)))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.frames))
+        return hash((self.n, *(e.tobytes() for e in self.edge_arrays)))
 
     def __repr__(self) -> str:
         return f"TemporalGraph(n={self.n}, T={self.T})"
@@ -271,6 +290,8 @@ def _header(raw: str, lineno: int) -> tuple[int, int]:
         raise MalformedHeader(
             f"need n >= 1 and T >= 1, got n={n}, T={t_count}", line=lineno
         )
+    if n > 1 << 63:
+        raise MalformedHeader(f"need n <= 2**63 for int64 labels, got n={n}", line=lineno)
     return n, t_count
 
 
@@ -335,13 +356,22 @@ def _raise_fault(n: int, t_count: int, t: int, u: int, v: int, line: int) -> Non
     raise DuplicateEdge(f"duplicate edge {(min(u, v), max(u, v))} in frame {t}", line=line)
 
 
+def label_strings(g: TemporalGraph) -> Sequence[str] | Mapping[int, str]:
+    """str(v) looked up by vertex label v: a list over 0..n-1 or, where n
+    passes twice the edge count, a dict over the labels edges use."""
+    flat = np.concatenate(g.edge_arrays)
+    if g.n <= flat.size:
+        return list(map(str, range(g.n)))
+    return {v: str(v) for v in np.unique(flat).tolist()}
+
+
 def serialize(g: TemporalGraph) -> str:
     """Canonical .dcs text for g; parse(serialize(g)) == g, byte for byte."""
-    out = [f"{g.n} {g.T}\n"]
-    for t, frame_edges in enumerate(g.frames):
-        for u, v in frame_edges:
-            out.append(f"{t} {u} {v}\n")
-    return "".join(out)
+    label = label_strings(g).__getitem__
+    out = [f"{g.n} {g.T}"]
+    for t, (u, v) in enumerate(edges.T.tolist() for edges in g.edge_arrays):
+        out.append(f"\n{t} ".join(["", *map(" ".join, zip(map(label, u), map(label, v)))]))
+    return "".join(out + ["\n"])
 
 
 def load(path: str) -> TemporalGraph:

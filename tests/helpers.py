@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import index
 
+import numpy as np
+
 from dcs import (
     DuplicateEdge,
     EdgeOutOfRange,
@@ -110,10 +112,12 @@ def naive_build(n: int, t_count: int, records) -> TemporalGraph:
     """The graph of (line, t, u, v) edge records, checked one record at a
     time: integer labels, vertex range, self-loop, then duplicate.
 
-    Sets the graph's fields directly, so no library check is involved.
+    Sets the graph's storage directly, so no library check is involved.
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
+    if n > 2**63:
+        raise ValueError(f"vertex count must be <= 2**63, got {n}")
     if t_count < 1:
         raise ValueError("at least one frame is required")
     seen = [set() for _ in range(t_count)]
@@ -137,8 +141,12 @@ def naive_build(n: int, t_count: int, records) -> TemporalGraph:
             raise DuplicateEdge(f"duplicate edge {e} in frame {t}", line=line)
         seen[t].add(e)
     g = TemporalGraph.__new__(TemporalGraph)
-    g.n, g.frames = n, tuple(tuple(sorted(edges)) for edges in seen)
-    g._adj = g._edge_frames = None
+    g.n = n
+    g.edge_arrays = tuple(np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+                          for edges in seen)
+    for edges in g.edge_arrays:
+        edges.flags.writeable = False
+    g._frames = g._adj = g._union = g._union_edges = g._edge_frames = None
     return g
 
 
@@ -166,6 +174,8 @@ def naive_parse(text) -> TemporalGraph:
         raise MalformedHeader(f"non-integer header fields in {raw!r}", line=lineno) from None
     if n < 1 or t_count < 1:
         raise MalformedHeader(f"need n >= 1 and T >= 1, got n={n}, T={t_count}", line=lineno)
+    if n > 2**63:
+        raise MalformedHeader(f"need n <= 2**63 for int64 labels, got n={n}", line=lineno)
 
     def records():
         for lineno, raw in lines:
@@ -183,6 +193,15 @@ def naive_parse(text) -> TemporalGraph:
             yield lineno, t, u, v
 
     return naive_build(n, t_count, records())
+
+
+def naive_serialize(g: TemporalGraph) -> str:
+    """Canonical .dcs text, one formatted line per edge tuple of g.frames."""
+    out = [f"{g.n} {g.T}\n"]
+    for t, frame_edges in enumerate(g.frames):
+        for u, v in frame_edges:
+            out.append(f"{t} {u} {v}\n")
+    return "".join(out)
 
 
 def naive_stats(g: TemporalGraph, t: int, members) -> tuple[int, int]:

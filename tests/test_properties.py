@@ -61,6 +61,7 @@ from helpers import (
     naive_parse,
     naive_partition_search,
     naive_pruned_am_search,
+    naive_serialize,
     naive_superedges,
     naive_subset_search,
     naive_value,
@@ -102,6 +103,32 @@ def test_parse_serialize_round_trip(g):
     text = serialize(g)
     assert parse(text) == g
     assert serialize(parse(text)) == text
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs on a few labels drawn from 0..n-1, n up to 2**40; frames may be empty."""
+    n = draw(st.sampled_from([2, 9, 2**31 + 7, 2**40]))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=6, unique=True))
+    pairs = list(combinations(sorted(labels), 2))
+    return TemporalGraph(n, [draw(st.sets(st.sampled_from(pairs)))
+                             for _ in range(draw(st.integers(1, 4)))])
+
+
+@PROPERTY
+@given(st.one_of(graphs(), sparse_graphs()))
+@example(TemporalGraph(1, [[]]))
+@example(TemporalGraph(3, [[], [(2, 0)], []]))
+def test_serialize_and_union_index_match_naive(g):
+    assert serialize(g) == naive_serialize(g)
+    assert dict(g.edge_frames) == naive_edge_frames(g)
+    assert g.union_edges == tuple(naive_edge_frames(g))
+
+
+@pytest.mark.parametrize("n", [2**63, 2**63 + 1, 2**64])
+def test_parse_matches_naive_parse_at_the_int64_edge(n):
+    text = f"{n} 1\n0 0 {min(n, 2**63) - 1}\n"
+    _same_outcome(_outcome(lambda: parse(text)), _outcome(lambda: naive_parse(text)))
 
 
 def _outcome(build):

@@ -1,6 +1,7 @@
 """Parsing, serialization, and induced statistics."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from dcs import (
     serialize,
 )
 from dcs.errors import MalformedEdgeLine
-from helpers import naive_stats, random_temporal
+from dcs.generators import PlantedParams, gen_planted_2frame
+from helpers import naive_edge_frames, naive_serialize, naive_stats, random_temporal
 
 TINY = "3 2\n0 0 1\n1 0 1\n1 1 2\n"
 
@@ -179,20 +181,77 @@ def test_adjacency_built_on_first_use():
     assert g.adjacency(1) is g.adjacency(1)
 
 
-def test_edge_arrays_built_on_first_use():
+def test_edge_arrays_stored_and_views_built_on_first_use():
     g = parse(TINY)
-    assert g._edge_arrays is None
     arrays = g.edge_arrays
-    assert arrays is g.edge_arrays
-    assert [a.tolist() for a in arrays] == [[list(e) for e in f] for f in g.frames]
-    assert all(a.dtype == np.int64 and a.shape == (len(f), 2) for a, f in zip(arrays, g.frames))
+    assert [a.tolist() for a in arrays] == [[[0, 1]], [[0, 1], [1, 2]]]
+    assert all(a.dtype == np.int64 and a.shape[1:] == (2,) for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         arrays[0][0, 0] = 2
+    assert g._frames is None and g._adj is None
+    assert g.frames == (((0, 1),), ((0, 1), (1, 2)))
+    assert g.frames is g.frames
+    assert g._adj is None
+    assert g.adjacency(0) is g.adjacency(0)
+    assert g.edge_arrays is arrays
+
+
+def test_parsed_constructed_and_generated_copies_are_equal_without_frames():
+    generated = gen_planted_2frame(PlantedParams(64, Fraction(1, 20), True, 5))
+    parsed = parse(serialize(generated))
+    constructed = TemporalGraph(generated.n, [e.tolist() for e in generated.edge_arrays])
+    copies = [generated, parsed, constructed]
+    assert all(a == b and hash(a) == hash(b) for a in copies for b in copies)
+    assert all(g._frames is None for g in copies)
+    assert TemporalGraph(3, [[(0, 1)], []]) != TemporalGraph(3, [[], [(0, 1)]])
+    assert TemporalGraph(3, [[(0, 1)]]) != TemporalGraph(4, [[(0, 1)]])
+    assert TemporalGraph(3, [[(0, 1)]]) != TemporalGraph(3, [[(0, 1)], []])
+
+
+def test_union_index_is_exact_where_packed_keys_would_wrap():
+    # u * n + v passes int64 here: u = 2**31 would wrap below (0, 1)
+    a, b = 2**31, 2**39 + 3
+    g = TemporalGraph(2**40, [[(a + 1, a), (0, 1), (a, b)], [], [(b, 0), (a, a + 1), (5, a)]])
+    expect = naive_edge_frames(g)
+    assert g.union_edges == tuple(expect) == ((0, 1), (0, b), (5, a), (a, a + 1), (a, b))
+    assert dict(g.edge_frames) == expect
+    union, positions = g.union_index()
+    assert union.T.tolist() == [list(e) for e in expect]
+    assert [union.T[p].tolist() for p in positions] == [e.tolist() for e in g.edge_arrays]
+    assert serialize(g) == naive_serialize(g)
+    assert parse(serialize(g)) == g
+
+
+@pytest.mark.parametrize("n", [2**63 + 1, 2**64])
+def test_labels_past_int64_are_rejected_with_a_named_error(n):
+    with pytest.raises(MalformedHeader, match=r"n <= 2\*\*63") as info:
+        parse(f"{n} 1\n0 0 1\n")
+    assert info.value.line == 1
+    with pytest.raises(ValueError, match=r"<= 2\*\*63"):
+        TemporalGraph(n, [[(0, 1)]])
+
+
+def test_largest_vertex_count_keeps_int64_labels():
+    text = f"{2**63} 1\n0 0 {2**63 - 1}\n"
+    g = parse(text)
+    assert g.edge_arrays[0].tolist() == [[0, 2**63 - 1]]
+    assert serialize(g) == text and TemporalGraph(2**63, g.frames) == g
 
 
 def test_union_edges():
     g = parse(TINY)
     assert g.union_edges == ((0, 1), (1, 2))
+
+
+def test_union_index_is_read_only_and_cached():
+    g = parse(TINY)
+    union, positions = g.union_index()
+    assert g.union_index()[0] is union
+    assert union.tolist() == [[0, 1], [1, 2]]  # rows u and v
+    assert [p.tolist() for p in positions] == [[0], [0, 1]]
+    for a in (union[0], union[1], *positions):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
 
 
 @pytest.mark.parametrize("bad", [0.5, "1", 1.0])
