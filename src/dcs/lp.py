@@ -36,7 +36,7 @@ from . import oracle as _oracle
 from .errors import DcsError, DomainMismatch
 from .generators import gen_gap_instance
 from .objectives import MA
-from .temporal import Edge, TemporalGraph, label_strings
+from .temporal import Edge, TemporalGraph
 
 
 @dataclass
@@ -97,9 +97,8 @@ class _Rows(Sequence[LPConstraint]):
 
 def build_lp(g: TemporalGraph) -> LPModel:
     """Model with n + |E| + 1 variables and 1 + 2|E| + T constraints."""
-    union, label = g.union_edges, label_strings(g)
-    variables = (*(f"y{i}" for i in range(g.n)),
-                 *(f"x_{label[u]}_{label[v]}" for u, v in union), "z")
+    union, label = g.union_edges, list(map(str, range(g.n)))  # the y names need each label
+    variables = (*(f"y{s}" for s in label), *(f"x_{label[u]}_{label[v]}" for u, v in union), "z")
     return LPModel(variables, union, tuple(tuple((p + g.n).tolist()) for p in g.union_index()[1]))
 
 

@@ -356,22 +356,12 @@ def _raise_fault(n: int, t_count: int, t: int, u: int, v: int, line: int) -> Non
     raise DuplicateEdge(f"duplicate edge {(min(u, v), max(u, v))} in frame {t}", line=line)
 
 
-def label_strings(g: TemporalGraph) -> Sequence[str] | Mapping[int, str]:
-    """str(v) looked up by vertex label v: a list over 0..n-1 or, where n
-    passes twice the edge count, a dict over the labels edges use."""
-    flat = np.concatenate(g.edge_arrays)
-    if g.n <= flat.size:
-        return list(map(str, range(g.n)))
-    return {v: str(v) for v in np.unique(flat).tolist()}
-
-
 def serialize(g: TemporalGraph) -> str:
     """Canonical .dcs text for g; parse(serialize(g)) == g, byte for byte."""
-    label = label_strings(g).__getitem__
-    out = [f"{g.n} {g.T}"]
-    for t, (u, v) in enumerate(edges.T.tolist() for edges in g.edge_arrays):
-        out.append(f"\n{t} ".join(["", *map(" ".join, zip(map(label, u), map(label, v)))]))
-    return "".join(out + ["\n"])
+    out = [f"{g.n} {g.T}\n"]
+    for t, edges in enumerate(g.edge_arrays):  # one format call per frame
+        out.append(f"{t} %d %d\n" * len(edges) % tuple(edges.ravel().tolist()))
+    return "".join(out)
 
 
 def load(path: str) -> TemporalGraph:
