@@ -3,11 +3,15 @@
 Subcommands wrap the library one verb per area:
 
     dcs gen {gap|minrep|mis|planted|recursive|setcover-mcss}  write instances
-    dcs solve --alg {greedy-ma|best-with-all|composite-ma|exact-am|fpt-am|mcss-greedy}
+    dcs solve --alg <name in SOLVERS>                         run one solver
     dcs oracle --objective {mm|ma|am|aa|kma|mcss}             brute-force optima
     dcs lp {export|check|gap}                                 relaxation tools
     dcs eval --set <comma list>                               score a given set
     dcs bench                                                 time all solvers
+
+`SOLVERS` maps each solver name, in bench order, to (g, eps) -> Result;
+`--alg`, `solve` and `bench` read it, so adding a solver is one entry plus
+its function.  `lp gap` checks `--budget-n` before it builds anything.
 
 Reports are JSON on stdout (scores as exact rational strings "p/q");
 human diagnostics go to stderr.  Exit codes: 0 success, 1 usage error,
@@ -27,6 +31,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import am, generators, lp, ma, mcss, objectives, oracle, temporal
 from .errors import BudgetExceeded, DcsError, InfeasibleFrame
@@ -72,11 +77,6 @@ _budget = _positive("budget", "integer", int)
 _eps = _positive("eps", "rational", Fraction)
 _k = _positive("k", "integer", int)
 _threads = _positive("threads", "integer", int)
-
-# every solver, in the order bench reports them
-_ALGORITHMS = (
-    "greedy-ma", "best-with-all", "composite-ma", "exact-am", "fpt-am", "mcss-greedy",
-)
 
 
 def _int_list(text: str) -> list[int]:
@@ -145,12 +145,12 @@ def _build_parser() -> _Parser:
     g_sc.add_argument("--out", required=True)
 
     solve = sub.add_parser("solve", help="run a solver on an instance")
-    solve.add_argument("--alg", required=True, choices=_ALGORITHMS)
+    solve.add_argument("--alg", required=True, choices=SOLVERS)
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--eps", type=_eps, default=Fraction(1, 2))
     solve.add_argument("--out", default=None,
-                       help="also write the solution ('u v' edge lines for "
-                            "mcss-greedy, one vertex per line otherwise)")
+                       help="also write the solution ('u v' lines for an edge "
+                            "set, one vertex per line otherwise)")
 
     orc = sub.add_parser("oracle", help="brute-force exact optimum")
     orc.add_argument("--objective", required=True,
@@ -204,19 +204,12 @@ def _instance_info(g: temporal.TemporalGraph, path: str | None = None) -> dict:
     return info
 
 
+def _per_frame(score: objectives.Score) -> list[str]:
+    return [str(v) for v in score.per_frame]
+
+
 def _score_json(s: objectives.Score) -> dict:
-    return {
-        "value": str(s.value),
-        "per_frame": [str(v) for v in s.per_frame],
-    }
-
-
-def _scored(solution: temporal.VertexSet, score: objectives.Score) -> dict:
-    return {
-        "solution": list(solution.members),
-        "score": str(score.value),
-        "per_frame": [str(v) for v in score.per_frame],
-    }
+    return {"value": str(s.value), "per_frame": _per_frame(s)}
 
 
 def _write(path: str, text: str) -> None:
@@ -264,87 +257,95 @@ def _run_gen(args) -> dict:
     return report
 
 
-def _solve(g: temporal.TemporalGraph, alg: str, eps: Fraction) -> tuple[dict, str]:
-    """Run one solver: its report fields, timed, and its --out text.
+class Result(NamedTuple):
+    """A solution, its exact value (an edge set's size) and its own report fields.
 
-    The only code in the CLI that calls a solver; solvers do not time themselves.
+    A NamedTuple, not a frozen dataclass: every CLI process builds the class
+    at import, and a dataclass takes about 1 ms longer to build.
     """
+
+    solution: temporal.VertexSet | mcss.EdgeSolution
+    value: Fraction | int
+    fields: dict
+
+    def body(self) -> dict:
+        if isinstance(self.solution, mcss.EdgeSolution):
+            return {"edges": [list(e) for e in self.solution], "size": self.value, **self.fields}
+        return {"solution": list(self.solution), "score": str(self.value), **self.fields}
+
+    def text(self) -> str:
+        """The --out file: 'u v' lines for an edge set, one vertex per line otherwise."""
+        if isinstance(self.solution, mcss.EdgeSolution):
+            return "".join(f"{u} {v}\n" for u, v in self.solution)
+        return "".join(f"{v}\n" for v in self.solution)
+
+
+def _from_ma(rep: ma.SolveReport) -> Result:
+    fields = {"algorithm": rep.algorithm, "zero_score": rep.zero_score,
+              "per_frame": _per_frame(rep.score)}
+    if rep.frames_covered_per_iteration is not None:
+        fields["frames_covered_per_iteration"] = list(rep.frames_covered_per_iteration)
+    if rep.candidate_scores:
+        fields["candidate_scores"] = {k: str(v) for k, v in rep.candidate_scores.items()}
+    return Result(rep.solution, rep.score.value, fields)
+
+
+def _from_am(g: temporal.TemporalGraph, alg: str, found) -> Result:
+    solution, value = found
+    verified = str(objectives.score(g, solution, objectives.AM).value)
+    return Result(solution, Fraction(value), {"algorithm": alg, "verified_am_score": verified})
+
+
+def _from_mcss(g: temporal.TemporalGraph, run: mcss.GreedyRun) -> Result:
+    return Result(run.solution, len(run.solution), {
+        "algorithm": "mcss-greedy", "gains": list(run.gains), "phase_boundary": run.phase_boundary,
+        "spanning": mcss.check_spanning(g, run.solution)})
+
+
+# every solver, in the order bench reports them; each entry looks its library
+# function up when called, so a patched module attribute takes effect
+SOLVERS = {
+    "greedy-ma": lambda g, eps: _from_ma(ma.greedy_cover(g)),
+    "best-with-all": lambda g, eps: _from_ma(ma.best_with_all(g)),
+    "composite-ma": lambda g, eps: _from_ma(ma.composite_ma(g)),
+    "exact-am": lambda g, eps: _from_am(g, "exact-am", am.exact_am(g)),
+    "fpt-am": lambda g, eps: _from_am(g, "fpt-am", am.fpt_approx_am(g, eps)),
+    "mcss-greedy": lambda g, eps: _from_mcss(g, mcss.mcss_greedy_run(g)),
+}
+
+
+def _exact(g: temporal.TemporalGraph, kind: objectives.ObjectiveKind | None,
+           budget: oracle.OracleBudget) -> Result:
+    """The oracle's optimum under `kind`, or its smallest spanning edge set for None."""
+    if kind is None:
+        solution = oracle.exact_mcss(g, budget)
+        return Result(solution, len(solution), {"objective": "mcss"})
+    solution, best = oracle.exact_best(g, kind, budget)
+    return Result(solution, best.value, {"objective": repr(kind), "per_frame": _per_frame(best)})
+
+
+def _timed(solver, *args) -> tuple[Result, dict]:
+    """Run one solver, timed here as solvers do not time themselves: (Result, body)."""
     t0 = time.perf_counter()
-    if alg == "mcss-greedy":
-        run = mcss.mcss_greedy_run(g)
-        result = {
-            "algorithm": alg,
-            "edges": [list(e) for e in run.solution.edges],
-            "size": len(run.solution),
-            "gains": list(run.gains),
-            "phase_boundary": run.phase_boundary,
-            "spanning": mcss.check_spanning(g, run.solution),
-        }
-        text = mcss.serialize_edges(run.solution)
-    elif alg in ("exact-am", "fpt-am"):
-        solution, value = am.exact_am(g) if alg == "exact-am" else am.fpt_approx_am(g, eps)
-        result = {
-            "algorithm": alg,
-            "solution": list(solution.members),
-            "score": str(Fraction(value)),
-            "verified_am_score": str(objectives.score(g, solution, objectives.AM).value),
-        }
-    else:
-        solver = {
-            "greedy-ma": ma.greedy_cover,
-            "best-with-all": ma.best_with_all,
-            "composite-ma": ma.composite_ma,
-        }[alg]
-        rep = solver(g)
-        solution = rep.solution
-        result = {"algorithm": rep.algorithm, "zero_score": rep.zero_score,
-                  **_scored(solution, rep.score)}
-        if rep.frames_covered_per_iteration is not None:
-            result["frames_covered_per_iteration"] = list(rep.frames_covered_per_iteration)
-        if rep.candidate_scores:
-            result["candidate_scores"] = {k: str(v) for k, v in rep.candidate_scores.items()}
-    if alg != "mcss-greedy":
-        text = "".join(f"{v}\n" for v in solution.members)
-    result["wall_time"] = time.perf_counter() - t0
-    return result, text
+    result = solver(*args)
+    return result, {**result.body(), "wall_time": time.perf_counter() - t0}
 
 
 def _run_solve(args) -> dict:
     g = temporal.load(args.infile)
-    result, text = _solve(g, args.alg, args.eps)
+    result, body = _timed(SOLVERS[args.alg], g, args.eps)
     if args.out:
-        _write(args.out, text)
-    return {"instance": _instance_info(g, args.infile), "result": result}
+        _write(args.out, result.text())
+    return {"instance": _instance_info(g, args.infile), "result": body}
 
 
 def _run_oracle(args) -> dict:
     if (args.k is None) == (args.objective == "kma"):
         raise _UsageError("oracle --objective kma needs --k, and no other objective takes it")
     g = temporal.load(args.infile)
-    info = _instance_info(g, args.infile)
-    budget = oracle.OracleBudget(args.budget_n, args.budget_edges)
-    t0 = time.perf_counter()
-    if args.objective == "mcss":
-        solution = oracle.exact_mcss(g, budget)
-        return {
-            "instance": info,
-            "result": {
-                "objective": "mcss",
-                "edges": [list(e) for e in solution.edges],
-                "size": len(solution),
-                "wall_time": time.perf_counter() - t0,
-            },
-        }
-    kind = objectives.ObjectiveKind(args.objective, args.k)
-    solution, best = oracle.exact_best(g, kind, budget)
-    return {
-        "instance": info,
-        "result": {
-            "objective": repr(kind),
-            **_scored(solution, best),
-            "wall_time": time.perf_counter() - t0,
-        },
-    }
+    kind = None if args.objective == "mcss" else objectives.ObjectiveKind(args.objective, args.k)
+    _, body = _timed(_exact, g, kind, oracle.OracleBudget(args.budget_n, args.budget_edges))
+    return {"instance": _instance_info(g, args.infile), "result": body}
 
 
 def _run_lp(args) -> dict:
@@ -406,13 +407,12 @@ def _run_eval(args) -> dict:
 def _run_bench(args) -> dict:
     g = temporal.load(args.infile)
     rows = []
-    for alg in _ALGORITHMS:
+    for alg, solver in SOLVERS.items():
         try:
-            result, _ = _solve(g, alg, args.eps)
+            result, body = _timed(solver, g, args.eps)
         except InfeasibleFrame:  # only the mcss greedy needs connected frames
             continue
-        score = result["score"] if "score" in result else str(result["size"])
-        rows.append({"algorithm": alg, "score": score, "wall_time": result["wall_time"]})
+        rows.append({"algorithm": alg, "score": str(result.value), "wall_time": body["wall_time"]})
     return {"instance": _instance_info(g, args.infile), "result": rows}
 
 

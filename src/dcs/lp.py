@@ -172,8 +172,11 @@ def gap_report(n: int, budget: "_oracle.OracleBudget | None" = None) -> GapRepor
 
     The ratio is exactly n / (1 + H_{n-1}): the harmonic solution is checked
     feasible (so its value lower-bounds the LP optimum) and the integral
-    side is enumerated.
+    side is enumerated.  An n over the budget is refused before the
+    instance is built.
     """
+    budget = budget or _oracle.OracleBudget()
+    budget.check_vertices(n)
     g, f = harmonic_solution(n)
     feasible, value, violations = check_feasible(g, f)
     if not feasible:

@@ -89,11 +89,6 @@ def potential(g: TemporalGraph, f: EdgeSolution) -> int:
     ) - g.T
 
 
-def serialize_edges(f: EdgeSolution) -> str:
-    """Edge-list text, one "u v" line per edge (union membership implied)."""
-    return "".join(f"{u} {v}\n" for u, v in f.edges)
-
-
 def mcss_greedy(g: TemporalGraph) -> EdgeSolution:
     """Greedy max-merge edge selection; requires every frame connected."""
     return mcss_greedy_run(g).solution

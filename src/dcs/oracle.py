@@ -45,6 +45,11 @@ class OracleBudget:
         if self.max_vertices < 1 or self.max_union_edges < 1:
             raise ValueError("budget caps must be positive")
 
+    def check_vertices(self, n: int) -> None:
+        """Refuse an n-vertex subset enumeration over the cap, before any work."""
+        if n > self.max_vertices:
+            raise BudgetExceeded(f"n = {n} exceeds subset budget {self.max_vertices}")
+
 
 def _neighbour_masks(frame, n: int) -> list[int]:
     """nbr[v]: bitmask of v's neighbours in one frame's edge list."""
@@ -106,8 +111,7 @@ def exact_best(
     """
     budget = budget or OracleBudget()
     n = g.n
-    if n > budget.max_vertices:
-        raise BudgetExceeded(f"n = {n} exceeds subset budget {budget.max_vertices}")
+    budget.check_vertices(n)
     if 16 << n > _MAX_TABLE_BYTES:
         raise BudgetExceeded(f"n = {n} needs {16 << n} bytes of subset tables, "
                              f"over the {_MAX_TABLE_BYTES}-byte cap")

@@ -11,8 +11,11 @@ import pytest
 from dcs import (
     PlantedParams,
     TemporalGraph,
+    VertexSet,
+    cli,
     gen_gap_instance,
     gen_planted_2frame,
+    lp,
     ma,
     reduce_mis_to_am,
     serialize,
@@ -525,3 +528,49 @@ def test_solve_out_writes_solution_files(tmp_path, tiny_path):
                         "--out", eout)
     assert code == EXIT_OK
     assert Path(eout).read_text() == "0 1\n1 2\n"
+
+
+def test_solve_out_matches_the_report_for_every_solver(tmp_path):
+    path = tmp_path / "connected.dcs"
+    path.write_text(CONNECTED)
+    for alg in cli.SOLVERS:
+        out = tmp_path / f"{alg}.txt"
+        code, report, err = invoke("solve", "--alg", alg, "--in", str(path), "--out", str(out))
+        assert code == EXIT_OK, err
+        result = report["result"]
+        if "edges" in result:
+            expected = "".join(f"{u} {v}\n" for u, v in result["edges"])
+        else:
+            expected = "".join(f"{v}\n" for v in result["solution"])
+        assert out.read_text() == expected, alg
+
+
+def test_solver_table_is_the_only_list_of_solvers(tiny_path, monkeypatch):
+    def dummy(g, eps):
+        return cli.Result(VertexSet([2, 0]), eps, {"algorithm": "dummy", "note": "from the table"})
+
+    monkeypatch.setitem(cli.SOLVERS, "dummy", dummy)
+    code, report, err = invoke("solve", "--alg", "dummy", "--in", tiny_path, "--eps", "1/3")
+    assert code == EXIT_OK, err
+    assert _strip_wall_times(report["result"]) == {
+        "algorithm": "dummy", "note": "from the table", "score": "1/3", "solution": [0, 2],
+    }
+    code, report, err = invoke("bench", "--in", tiny_path)
+    assert code == EXIT_OK, err
+    # tiny has a disconnected frame, so bench skips only the mcss greedy
+    assert [row["algorithm"] for row in report["result"]] == [
+        alg for alg in cli.SOLVERS if alg != "mcss-greedy"]
+    assert _strip_wall_times(report["result"][-1]) == {"algorithm": "dummy", "score": "1/2"}
+    monkeypatch.delitem(cli.SOLVERS, "fpt-am")
+    code, _, err = invoke("solve", "--alg", "fpt-am", "--in", tiny_path)
+    assert code == EXIT_USAGE and "invalid choice: 'fpt-am'" in err
+
+
+def test_lp_gap_refuses_an_over_budget_n_before_building(monkeypatch):
+    def build(n):
+        raise AssertionError(f"gap instance built for n = {n}")
+
+    monkeypatch.setattr(lp, "harmonic_solution", build)
+    code, _, err = invoke("lp", "gap", "--n", "25")
+    assert code == EXIT_BUDGET
+    assert err == "budget exceeded: n = 25 exceeds subset budget 20\n"
