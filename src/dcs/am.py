@@ -187,7 +187,7 @@ def threshold_grid(eps, limit: int) -> tuple[int, ...]:
     Computed in exact rationals.  Zero is included explicitly: optimal
     vectors may have zero entries, which no power of 1+eps rounds to.
     """
-    eps = eps if isinstance(eps, Fraction) else Fraction(eps)
+    eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if limit < 1:

@@ -157,8 +157,8 @@ def _build_parser() -> _Parser:
                      choices=["mm", "ma", "am", "aa", "kma", "mcss"])
     orc.add_argument("--in", dest="infile", required=True)
     orc.add_argument("--k", type=_k, default=None, help="KMA order")
-    orc.add_argument("--budget-n", type=_budget, default=20)
-    orc.add_argument("--budget-edges", type=_budget, default=22)
+    orc.add_argument("--budget-n", type=_budget, default=oracle.OracleBudget.max_vertices)
+    orc.add_argument("--budget-edges", type=_budget, default=oracle.OracleBudget.max_union_edges)
 
     lp_cmd = sub.add_parser("lp", help="LP relaxation tools")
     lp_sub = lp_cmd.add_subparsers(dest="lp_command", required=True)
@@ -169,7 +169,7 @@ def _build_parser() -> _Parser:
     l_chk.add_argument("--n", type=int, required=True)
     l_gap = lp_sub.add_parser("gap", help="LP value vs integral optimum")
     l_gap.add_argument("--n", type=int, required=True)
-    l_gap.add_argument("--budget-n", type=_budget, default=20)
+    l_gap.add_argument("--budget-n", type=_budget, default=oracle.OracleBudget.max_vertices)
 
     ev = sub.add_parser("eval", help="score a given vertex set")
     ev.add_argument("--in", dest="infile", required=True)

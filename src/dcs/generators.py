@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,10 +28,6 @@ import numpy as np
 from .errors import CompleteGraph, NoSuperedges, NotSingleFrame, NotUniform, Uncoverable
 from .rng import SplitMix64, bernoulli_block, substream
 from .temporal import Edge, TemporalGraph
-
-
-def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,7 @@ class PlantedParams:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", _as_fraction(self.eps))
+        object.__setattr__(self, "eps", Fraction(self.eps))
         if self.n < 16:
             raise ValueError(f"ambient size must be >= 16, got {self.n}")
         if not Fraction(0) < self.eps < Fraction(1, 4):
@@ -127,7 +124,7 @@ class RecursiveParams:
 
     def __post_init__(self):
         object.__setattr__(self, "nvec", tuple(int(v) for v in self.nvec))
-        object.__setattr__(self, "pvec", tuple(_as_fraction(p) for p in self.pvec))
+        object.__setattr__(self, "pvec", tuple(Fraction(p) for p in self.pvec))
         if len(self.nvec) != len(self.pvec) or not self.nvec:
             raise ValueError("size and log-density vectors must have equal nonzero length")
         if any(v <= 0 for v in self.nvec):
@@ -139,13 +136,10 @@ class RecursiveParams:
 
 
 def _ceil_root(n: int, k: int) -> int:
-    """Smallest m with m**k >= n."""
-    m = max(1, round(n ** (1.0 / k)))
-    while m**k < n:
-        m += 1
-    while m > 1 and (m - 1) ** k >= n:
-        m -= 1
-    return m
+    """Smallest m with m**k >= n >= 1, for k = 2 or 4."""
+    for _ in range(k.bit_length() - 1):  # m**4 >= n iff m**2 >= ceil(sqrt(n))
+        n = isqrt(n - 1) + 1
+    return n
 
 
 def _er_edges(stream: SplitMix64, vertices: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -304,7 +298,7 @@ def gen_padded_sequence(
     amb = base.n if ambient_n is None else ambient_n
     if not 1 <= amb <= base.n:
         raise ValueError(f"ambient_n must lie in [1, {base.n}], got {amb}")
-    eps_prime = _as_fraction(eps_prime)
+    eps_prime = Fraction(eps_prime)
     if eps_prime < 0:
         raise ValueError(f"eps_prime must be >= 0, got {eps_prime}")
     if pad_count is None:

@@ -54,15 +54,16 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
+def _union(parent: list[int], u: int, v: int) -> bool:
+    """Join the components of u and v; True iff they were apart."""
+    ru, rv = _find(parent, u), _find(parent, v)
+    parent[ru] = rv  # a no-op when ru == rv
+    return ru != rv
+
+
 def component_count(n: int, edges) -> int:
     parent = list(range(n))
-    count = n
-    for u, v in edges:
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-            count -= 1
-    return count
+    return n - sum(_union(parent, u, v) for u, v in edges)
 
 
 def require_connected(g: TemporalGraph) -> None:
@@ -126,9 +127,7 @@ def mcss_greedy_run(g: TemporalGraph) -> GreedyRun:
         assert best_edge is not None  # connected frames guarantee a useful edge
         u, v = best_edge
         for t in frames_of[best_edge]:
-            ru, rv = _find(parents[t], u), _find(parents[t], v)
-            if ru != rv:
-                parents[t][ru] = rv
+            _union(parents[t], u, v)
         rho -= best_gain
         picks.append(best_edge)
         gains.append(best_gain)

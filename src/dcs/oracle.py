@@ -227,8 +227,7 @@ def exact_minrep(mr: MinRepInstance, budget: OracleBudget | None = None) -> int:
     budget = budget or OracleBudget()
     labels = list(mr.a_vertices) + list(mr.b_vertices)
     nv = len(labels)
-    if nv > budget.max_vertices:
-        raise BudgetExceeded(f"{nv} vertices exceed budget {budget.max_vertices}")
+    budget.check_vertices(nv)
     bit = {lab: 1 << i for i, lab in enumerate(labels)}
     # every superedge holds an edge, so choosing every vertex covers all of them
     pair_masks = [[bit[a] | bit[b] for a, b in edges] for edges in mr.superedges().values()]
@@ -242,8 +241,7 @@ def exact_mis(graph: TemporalGraph, budget: OracleBudget | None = None) -> int:
     if graph.T != 1:
         raise NotSingleFrame("input must be a single-frame graph")
     n = graph.n
-    if n > budget.max_vertices:
-        raise BudgetExceeded(f"n = {n} exceeds budget {budget.max_vertices}")
+    budget.check_vertices(n)
     nbr = _neighbour_masks(graph.frames[0], n)
     memo: dict[int, int] = {0: 0}
 

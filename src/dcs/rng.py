@@ -2,8 +2,8 @@
 
 All randomized generators draw from splitmix64 streams.  The k-th output
 of a stream seeded with s is mix64(s + (k+1)*GOLDEN), a closed form that
-lets large Bernoulli blocks be produced with vectorized numpy while the
-scalar generator stays bit-identical.
+lets `bernoulli_block` mix a block of outputs at once with numpy; its
+draws equal the scalar `bernoulli` draws one for one.
 
 Stream discipline: a generator with master seed s derives one sub-stream
 per role via ``substream(s, i)``; frame edge draws use the frame index as
@@ -83,46 +83,27 @@ def _threshold(p: float) -> int:
 _CHUNK = 1 << 14
 
 
-def _chunks(seed: int, start: int, count: int):
-    """Yield (i, z) for i = 0, _CHUNK, ... below count, where z holds outputs
-    start+i.. of SplitMix64(seed).  z is one buffer, overwritten each step."""
+def bernoulli_block(stream: SplitMix64, count: int, p: float) -> np.ndarray:
+    """count Bernoulli(p) draws from stream's current position (vectorized).
+
+    Equal to count scalar `bernoulli` draws, and advances the stream by count
+    as they do, so interleaved scalar use stays consistent.
+    """
+    threshold = np.uint64(_threshold(p))
+    base_state = stream._state
+    hits = np.empty(max(count, 0), dtype=bool)  # a negative count gives no draws
     # (j + 1) * GOLDEN mod 2^64: output j of a chunk is mixed from its start state plus this
     steps = np.arange(1, min(count, _CHUNK) + 1, dtype=np.uint64) * np.uint64(GOLDEN)
     buf, tmp = np.empty_like(steps), np.empty_like(steps)
     for i in range(0, count, _CHUNK):
         z, t = buf[:count - i], tmp[:count - i]
-        np.add(steps[:len(z)], np.uint64((seed + (start + i) * GOLDEN) & MASK64), out=z)
+        np.add(steps[:len(z)], np.uint64((base_state + i * GOLDEN) & MASK64), out=z)
         for shift, mult in ((30, _MIX1), (27, _MIX2)):
             np.right_shift(z, np.uint64(shift), out=t)
             z ^= t
             z *= np.uint64(mult)
         np.right_shift(z, np.uint64(31), out=t)
         z ^= t
-        yield i, z
-
-
-def stream_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs start..start+count-1 of SplitMix64(seed), as uint64.
-
-    Matches the scalar stream exactly: stream_block(s, 0, k) equals the
-    first k values of SplitMix64(s).next_u64().
-    """
-    out = np.empty(max(count, 0), dtype=np.uint64)  # a negative count gives no outputs
-    for i, z in _chunks(seed, start, count):
-        out[i:i + len(z)] = z
-    return out
-
-
-def bernoulli_block(stream: SplitMix64, count: int, p: float) -> np.ndarray:
-    """count Bernoulli(p) draws from stream's current position (vectorized).
-
-    Advances the scalar stream by count so interleaved scalar use stays
-    consistent with one-at-a-time draws.
-    """
-    threshold = np.uint64(_threshold(p))
-    base_state = stream._state
-    hits = np.empty(max(count, 0), dtype=bool)  # a negative count gives no draws
-    for i, z in _chunks(base_state, 0, count):
         z >>= np.uint64(11)
         np.less(z, threshold, out=hits[i:i + len(z)])
     stream._state = (base_state + count * GOLDEN) & MASK64

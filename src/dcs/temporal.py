@@ -20,6 +20,7 @@ the first faulty record in file order.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from operator import index
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -44,13 +45,11 @@ class TemporalGraph:
     """Immutable sequence of frames over vertices 0..n-1.
 
     The storage is `edge_arrays`: one read-only (m_t, 2) int64 array per
-    frame, rows (u, v) with u < v in ascending order.  Three views are built
-    from it on first use and cached: `frames`, `adjacency` and the union
+    frame, rows (u, v) with u < v in ascending order.  Three views of it are
+    cached properties, built on first use: `frames`, `adjacency` and the union
     index (`union_index`, `union_edges`, `edge_frames`).  The arrays never
     change, so a concurrent first use can only compute the same value twice.
     """
-
-    __slots__ = ("n", "edge_arrays", "_frames", "_adj", "_union", "_union_edges", "_edge_frames")
 
     def __init__(self, n: int, frames: Iterable[Iterable[Edge]]):
         frames = tuple(frames)
@@ -85,100 +84,96 @@ class TemporalGraph:
             raise ValueError("at least one frame is required")
         try:
             tuv = np.asarray(tuv, dtype=np.int64).reshape(-1, 3)
-        except OverflowError:  # a value past int64 stays a Python int
+        except OverflowError:  # a value past int64 stays a Python int; its record is faulty
             tuv = np.array(tuv, dtype=object).reshape(-1, 3)
-        # Keys are exact and distinct for valid records, in Python ints where
-        # (t * n + lo) * n + hi could pass int64.  A faulty record's key may
-        # wrap; a collision with it flags only the later record of the two.
-        t, u, v = (tuv.astype(object) if t_count * n * n >= 1 << 63 else tuv).T
+        t, u, v = tuv.T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        key = (t * n + lo) * n + hi
         bad = (t < 0) | (t >= t_count) | (lo < 0) | (hi >= n) | (u == v)
-        order = None
-        if not (key[1:] > key[:-1]).all():  # canonical input is already sorted
-            order = np.argsort(key, kind="stable")
-            sorted_key = key[order]
-            bad[order[1:][sorted_key[1:] == sorted_key[:-1]]] = True
+        # whether each record's (t, lo, hi) is above the one before, compared
+        # a column at a time: exact for every n
+        up = hi[1:] > hi[:-1]
+        for col in (lo, t):
+            up = (col[1:] > col[:-1]) | (col[1:] == col[:-1]) & up
+        if not up.all():  # canonical input already rises
+            order = np.lexsort((hi, lo, t))
+            t, lo, hi = t[order], lo[order], hi[order]
+            repeat = (t[1:] == t[:-1]) & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+            bad[order[1:][repeat]] = True  # every repeat after the first
         if bad.any():
             i = int(bad.argmax())
             _raise_fault(n, t_count, *map(int, tuv[i]), line=0 if lines is None else lines[i])
         if pending is not None:
             raise pending
-        if order is not None:
-            t, lo, hi = t[order], lo[order], hi[order]
-        edges = np.stack((lo, hi), axis=1).astype(np.int64, copy=False)
+        edges = np.stack((lo, hi), axis=1)
         edges.flags.writeable = False
-        ends = np.bincount(t.astype(np.int64, copy=False), minlength=t_count).cumsum()
+        ends = np.bincount(t, minlength=t_count).cumsum()
         self.n = n
         self.edge_arrays: tuple[np.ndarray, ...] = tuple(np.split(edges, ends[:-1]))
-        self._frames = self._adj = self._union = self._union_edges = self._edge_frames = None
 
     @property
     def T(self) -> int:
         return len(self.edge_arrays)
 
-    @property
+    @cached_property
     def frames(self) -> tuple[tuple[Edge, ...], ...]:
-        """Each frame's edges as sorted (u, v) tuples, u < v (built once, then cached)."""
-        if self._frames is None:
-            # tuple() of a list, not of a zip: growing and shrinking a tuple fragments the heap
-            self._frames = tuple(tuple(list(zip(*e.T.tolist()))) for e in self.edge_arrays)
-        return self._frames
+        """Each frame's edges as sorted (u, v) tuples, u < v."""
+        # tuple() of a list, not of a zip: growing and shrinking a tuple fragments the heap
+        return tuple(tuple(list(zip(*e.T.tolist()))) for e in self.edge_arrays)
 
     def union_index(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """((u, v), positions), built once from one sort of all edges: the union
-        edges, sorted, as the rows u and v of a read-only (2, k) int64 array,
-        and per frame, a read-only int64 array of each edge's index in them."""
-        if self._union is None:
-            n, edges = self.n, np.concatenate(self.edge_arrays)
-            # frames are ascending runs, which a stable (merging) sort takes fast;
-            # u * n + v sorts as (u, v) wherever it cannot pass int64
-            order = (np.argsort(edges[:, 0] * n + edges[:, 1], kind="stable") if n < 1 << 31
-                     else np.lexsort(edges.T[::-1]))
-            ranked = edges[order]
-            first = np.diff(ranked, axis=0, prepend=-1).any(axis=1)  # row 0 and each new row
-            position = np.empty(len(ranked), dtype=np.int64)
-            position[order] = first.cumsum() - 1
-            union = np.ascontiguousarray(ranked[first].T)
-            union.flags.writeable = position.flags.writeable = False
-            ends = np.cumsum([len(e) for e in self.edge_arrays])[:-1]
-            self._union = union, tuple(np.split(position, ends))
+        """((u, v), positions), from one sort of all edges: the union edges,
+        sorted, as the rows u and v of a read-only (2, k) int64 array, and per
+        frame, a read-only int64 array of each edge's index in them."""
         return self._union
 
-    @property
+    @cached_property
+    def _union(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        n, edges = self.n, np.concatenate(self.edge_arrays)
+        # frames are ascending runs, which a stable (merging) sort takes fast;
+        # u * n + v sorts as (u, v) wherever it cannot pass int64
+        order = (np.argsort(edges[:, 0] * n + edges[:, 1], kind="stable") if n < 1 << 31
+                 else np.lexsort(edges.T[::-1]))
+        ranked = edges[order]
+        first = np.diff(ranked, axis=0, prepend=-1).any(axis=1)  # row 0 and each new row
+        position = np.empty(len(ranked), dtype=np.int64)
+        position[order] = first.cumsum() - 1
+        union = np.ascontiguousarray(ranked[first].T)
+        union.flags.writeable = position.flags.writeable = False
+        ends = np.cumsum([len(e) for e in self.edge_arrays])[:-1]
+        return union, tuple(np.split(position, ends))
+
+    @cached_property
     def union_edges(self) -> tuple[Edge, ...]:
         """Sorted union of all frame edge sets: the keys of `edge_frames`."""
-        if self._union_edges is None:
-            self._union_edges = tuple(list(zip(*self.union_index()[0].tolist())))  # see frames
-        return self._union_edges
+        return tuple(list(zip(*self._union[0].tolist())))  # see frames
 
-    @property
+    @cached_property
     def edge_frames(self) -> Mapping[Edge, tuple[int, ...]]:
         """Read-only map of each union edge, in sorted order, to its ascending frames."""
-        if self._edge_frames is None:
-            union = self.union_edges
-            frames_of: list[tuple[int, ...]] = [()] * len(union)
-            for t, positions in enumerate(self.union_index()[1]):
-                only_t = (t,)  # () + only_t is only_t: one-frame edges share it
-                for i in positions.tolist():
-                    frames_of[i] += only_t
-            self._edge_frames = MappingProxyType(dict(zip(union, frames_of)))
-        return self._edge_frames
+        union = self.union_edges
+        frames_of: list[tuple[int, ...]] = [()] * len(union)
+        for t, positions in enumerate(self._union[1]):
+            only_t = (t,)  # () + only_t is only_t: one-frame edges share it
+            for i in positions.tolist():
+                frames_of[i] += only_t
+        return MappingProxyType(dict(zip(union, frames_of)))
 
     def adjacency(self, t: int) -> tuple[frozenset[int], ...]:
-        """Neighbor sets of frame t, indexed by vertex (built once, then cached)."""
+        """Neighbor sets of frame t, indexed by vertex."""
         if not (0 <= t < self.T):
             raise FrameIndexOutOfRange(f"frame {t} not in [0, {self.T})")
-        if self._adj is None:
-            adj = []
-            for edges in self.edge_arrays:
-                nbrs: list[set[int]] = [set() for _ in range(self.n)]
-                for u, v in edges.tolist():
-                    nbrs[u].add(v)
-                    nbrs[v].add(u)
-                adj.append(tuple(frozenset(s) for s in nbrs))
-            self._adj = tuple(adj)
         return self._adj[t]
+
+    @cached_property
+    def _adj(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        adj = []
+        for edges in self.edge_arrays:
+            nbrs: list[set[int]] = [set() for _ in range(self.n)]
+            for u, v in edges.tolist():
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            adj.append(tuple(frozenset(s) for s in nbrs))
+        return tuple(adj)
 
     def max_degree(self, t: int) -> int:
         return max((len(s) for s in self.adjacency(t)), default=0)
@@ -206,8 +201,6 @@ def as_int(value: object, noun: str) -> int:
 
 class VertexSet:
     """Canonical subset of a vertex range: sorted, deduplicated members."""
-
-    __slots__ = ("members",)
 
     def __init__(self, members: Iterable[int]):
         ms = tuple(sorted({as_int(v, "vertex") for v in members}))
@@ -292,6 +285,9 @@ def _header(raw: str, lineno: int) -> tuple[int, int]:
         )
     if n > 1 << 63:
         raise MalformedHeader(f"need n <= 2**63 for int64 labels, got n={n}", line=lineno)
+    if t_count >= 1 << 63:
+        raise MalformedHeader(f"need T < 2**63 for an int64 frame count, got T={t_count}",
+                              line=lineno)
     return n, t_count
 
 

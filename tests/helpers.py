@@ -146,7 +146,6 @@ def naive_build(n: int, t_count: int, records) -> TemporalGraph:
                           for edges in seen)
     for edges in g.edge_arrays:
         edges.flags.writeable = False
-    g._frames = g._adj = g._union = g._union_edges = g._edge_frames = None
     return g
 
 
@@ -176,6 +175,9 @@ def naive_parse(text) -> TemporalGraph:
         raise MalformedHeader(f"need n >= 1 and T >= 1, got n={n}, T={t_count}", line=lineno)
     if n > 2**63:
         raise MalformedHeader(f"need n <= 2**63 for int64 labels, got n={n}", line=lineno)
+    if t_count >= 2**63:
+        raise MalformedHeader(f"need T < 2**63 for an int64 frame count, got T={t_count}",
+                              line=lineno)
 
     def records():
         for lineno, raw in lines:

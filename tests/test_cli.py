@@ -496,6 +496,15 @@ def test_non_utf8_input_is_invalid_instance_naming_its_line(tmp_path):
                    "(invalid start byte)\n")
 
 
+def test_frame_count_past_int64_is_invalid_instance(tmp_path):
+    path = tmp_path / "huge.dcs"
+    path.write_text(f"3 {10**20}\n0 0 1\n")
+    code, _, err = invoke("eval", "--in", str(path), "--set", "0")
+    assert code == EXIT_INVALID
+    assert err == (f"invalid instance: line 1: need T < 2**63 for an int64 frame count, "
+                   f"got T={10**20}\n")
+
+
 def test_internal_error_is_not_an_invalid_instance(tiny_path, monkeypatch):
     # a ValueError from inside a solver is a bug: it propagates, not exit 2
     def broken(g):

@@ -178,6 +178,8 @@ LABELS = st.one_of(st.integers(-1, 4), st.sampled_from([0.5, "1", None, True, np
 )
 @example(n=3, frames=[[(0, 5), (0.5, 1)]])  # a range fault before a label fault
 @example(n=3, frames=[[(0, 1), (1, 0), (1,)]])  # a duplicate before a non-pair
+@example(n=2**63, frames=[[(7, 2**63 - 1), (0, 1), (2**63 - 1, 7)]])  # unsorted, a duplicate
+@example(n=3, frames=[[(0, 2**64), (0, 1), (1, 0)]])  # a token past int64 before a duplicate
 def test_constructor_matches_naive_build(n, frames):
     records = ((0, t, u, v) for t, frame in enumerate(frames) for u, v in frame)
     _same_outcome(_outcome(lambda: TemporalGraph(n, frames)),
@@ -235,6 +237,9 @@ def dcs_texts(draw):
 @example(f"{2**40} 2\n0 0 1\n1 5 {2**40 - 1}\n1 {2**40 - 1} 5\n")
 @example("3 2\n0 0 1\n0 1 1\n0 1\n")  # a self-loop before a syntax fault
 @example("3 2\n+1 01 1_0\n")
+@example(f"{2**63} 2\n1 5 9\n0 {2**63 - 1} 3\n1 9 5\n")  # unsorted, a duplicate
+@example(f"3 2\n0 0 {2**64}\n1 0 1\n1 1 0\n")  # a token past int64 before a duplicate
+@example(f"3 2\n1 0 1\n1 1 0\n0 0 {-2**64}\n")  # and after one
 def test_parse_matches_naive_parse(text):
     expect = _outcome(lambda: naive_parse(text))
     _same_outcome(_outcome(lambda: parse(text)), expect)

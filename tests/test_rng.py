@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dcs.rng import SplitMix64, bernoulli_block, mix64, stream_block, substream
+from dcs.rng import SplitMix64, bernoulli_block, mix64, substream
 
 
 def test_reference_vectors():
@@ -20,12 +20,19 @@ def test_reference_vectors():
 
 def test_scalar_and_vector_streams_agree():
     for seed in (0, 1, 424242, 2**63 + 17):
-        scalar = SplitMix64(seed)
-        want = [scalar.next_u64() for _ in range(100)]
-        got = stream_block(seed, 0, 100)
-        assert [int(x) for x in got] == want
-        tail = stream_block(seed, 40, 60)
-        assert [int(x) for x in tail] == want[40:]
+        outputs = SplitMix64(seed)
+        top = [outputs.next_u64() >> 11 for _ in range(100)]
+        # the last two put the threshold at output 57's top 53 bits, so it misses, then hits
+        for p in (0.3, 0.5, 2**-53, 1 - 2**-53, top[57] / 2**53, (top[57] + 1) / 2**53):
+            want = [x < int(p * 2**53) for x in top]
+            assert bernoulli_block(SplitMix64(seed), 100, p).tolist() == want
+            block, scalar = SplitMix64(seed), SplitMix64(seed)
+            for s in (block, scalar):
+                for _ in range(40):
+                    s.next_u64()
+            tail = bernoulli_block(block, 60, p)
+            assert tail.tolist() == [scalar.bernoulli(p) for _ in range(60)] == want[40:]
+            assert block.next_u64() == scalar.next_u64()
 
 
 def test_bernoulli_block_matches_scalar_draws():
@@ -72,7 +79,11 @@ def test_bernoulli_extremes():
     assert not bernoulli_block(SplitMix64(1), 64, 0.0).any()
 
 
-def test_stream_block_dtype_and_wraparound():
-    block = stream_block(2**64 - 1, 0, 8)
-    assert block.dtype == np.uint64
-    assert stream_block(2**64 - 1, 0, 8).tolist() == block.tolist()
+def test_bernoulli_block_dtype_and_wraparound():
+    # the state passes 2**64 on the first step
+    block, scalar = SplitMix64(2**64 - 1), SplitMix64(2**64 - 1)
+    draws = bernoulli_block(block, 8, 0.5)
+    assert draws.dtype == np.bool_
+    assert draws.tolist() == [scalar.bernoulli(0.5) for _ in range(8)]
+    assert bernoulli_block(SplitMix64(2**64 - 1), 8, 0.5).tolist() == draws.tolist()
+    assert block.next_u64() == scalar.next_u64()

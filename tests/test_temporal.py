@@ -176,7 +176,7 @@ def test_induced_stats_on_full_vertex_set():
 
 def test_adjacency_built_on_first_use():
     g = parse(TINY)
-    assert g._adj is None
+    assert "_adj" not in vars(g)
     assert g.adjacency(1) == (frozenset({1}), frozenset({0, 2}), frozenset({1}))
     assert g.adjacency(1) is g.adjacency(1)
 
@@ -188,10 +188,10 @@ def test_edge_arrays_stored_and_views_built_on_first_use():
     assert all(a.dtype == np.int64 and a.shape[1:] == (2,) for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         arrays[0][0, 0] = 2
-    assert g._frames is None and g._adj is None
+    assert "frames" not in vars(g) and "_adj" not in vars(g)
     assert g.frames == (((0, 1),), ((0, 1), (1, 2)))
     assert g.frames is g.frames
-    assert g._adj is None
+    assert "_adj" not in vars(g)
     assert g.adjacency(0) is g.adjacency(0)
     assert g.edge_arrays is arrays
 
@@ -202,7 +202,7 @@ def test_parsed_constructed_and_generated_copies_are_equal_without_frames():
     constructed = TemporalGraph(generated.n, [e.tolist() for e in generated.edge_arrays])
     copies = [generated, parsed, constructed]
     assert all(a == b and hash(a) == hash(b) for a in copies for b in copies)
-    assert all(g._frames is None for g in copies)
+    assert all("frames" not in vars(g) for g in copies)
     assert TemporalGraph(3, [[(0, 1)], []]) != TemporalGraph(3, [[], [(0, 1)]])
     assert TemporalGraph(3, [[(0, 1)]]) != TemporalGraph(4, [[(0, 1)]])
     assert TemporalGraph(3, [[(0, 1)]]) != TemporalGraph(3, [[(0, 1)], []])
@@ -229,6 +229,13 @@ def test_labels_past_int64_are_rejected_with_a_named_error(n):
     assert info.value.line == 1
     with pytest.raises(ValueError, match=r"<= 2\*\*63"):
         TemporalGraph(n, [[(0, 1)]])
+
+
+@pytest.mark.parametrize("t_count", [2**63, 10**20])
+def test_frame_counts_past_int64_are_rejected_with_a_named_error(t_count):
+    with pytest.raises(MalformedHeader, match=r"T < 2\*\*63") as info:
+        parse(f"3 {t_count}\n0 0 1\n")
+    assert info.value.line == 1
 
 
 def test_largest_vertex_count_keeps_int64_labels():
