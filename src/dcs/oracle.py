@@ -3,11 +3,23 @@
 Subset enumeration is the whole point here: these solvers try every
 candidate (vertex subsets, edge subsets, cover subsets) and therefore stay
 independent of the approximation algorithms they validate.  Vertex-subset
-scoring is one exact integer kernel: each frame keeps a neighbour bitmask
-per vertex, and a member's induced degree in subset mask S is
-popcount(S & nbr[v]), taken over a whole chunk of masks at once with numpy.
+scoring is exact integer arithmetic on uint32 bitmasks: each frame keeps a
+neighbour bitmask per vertex, and a member v's induced degree in subset
+mask S is popcount(S & nbr[v]).  Masks are scored in aligned chunks with
+numpy, by one of two kernels:
+
+* induced edge counts (half the degree sum; MA, AA, KMA) by doubling:
+  adding the top vertex v to a mask S below 2^v adds popcount(S & nbr[v])
+  edges, so 2^n popcounts per frame fill the whole table while one chunk
+  holds every mask (by default n <= 16 and T <= 16).  Past that, the
+  low-bit table is built once and each chunk adds one pass per high member;
+* minimum induced degrees (MM, AM): one popcount pass per vertex over the
+  masks holding it, n * 2^(n-1) popcounts per frame.  The six lowest
+  vertices' runs are too short for a fast strided view, so their passes
+  score every mask instead, 6 * 2^(n-1) popcounts more.
+
 Instances up to the budget caps finish quickly, but the semantics are
-plain exhaustive search.
+plain exhaustive search: every mask is scored.
 
 Tie-breaking is fully deterministic: among optimal vertex sets, the
 smallest, then lexicographically smallest member list wins; the edge-subset
@@ -28,9 +40,13 @@ from .mcss import EdgeSolution, require_connected
 from .objectives import ObjectiveKind, Score, score
 from .temporal import TemporalGraph, VertexSet
 
-# masks per chunk; a power of two, so every chunk is an aligned power-of-two range
+# masks per chunk at most; a power of two, so every chunk is an aligned power-of-two range
 _CHUNK = 1 << 16
-# exact_best keeps two int64 entries (16 bytes) per subset mask; refuse past this.
+# frames x masks per chunk at most: a chunk's per-frame tables grow with both
+_MAX_CHUNK_CELLS = 1 << 20
+# exact_best keeps an int64 value per subset mask and may list as many int64
+# candidates: 16 bytes per mask.  Refusing past this also keeps n < 27, so
+# every mask fits in 32 bits.
 _MAX_TABLE_BYTES = 1 << 30
 
 
@@ -51,50 +67,96 @@ class OracleBudget:
             raise BudgetExceeded(f"n = {n} exceeds subset budget {self.max_vertices}")
 
 
-def _neighbour_masks(frame, n: int) -> list[int]:
-    """nbr[v]: bitmask of v's neighbours in one frame's edge list."""
+def _neighbour_masks(edges: np.ndarray, n: int) -> list[int]:
+    """nbr[v]: bitmask of v's neighbours in one frame's (m, 2) edge array."""
     nbr = [0] * n
-    for u, v in frame:
+    for u, v in edges.tolist():
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
     return nbr
 
 
-def _chunk_tables(nbrs, n, lo, hi, min_degree):
-    """Per-frame induced measures for all subset masks in [lo, hi).
+def _chunk_length(n: int, t_count: int) -> int:
+    """The largest power of two at most _CHUNK and 2^n whose t_count
+    per-frame tables stay within _MAX_CHUNK_CELLS entries."""
+    length = min(_CHUNK, 1 << n)
+    while length > 1 and t_count * length > _MAX_CHUNK_CELLS:
+        length >>= 1
+    return length
 
-    Returns (sizes, stats): sizes per mask, then per frame the minimum
-    induced degree (min_degree) or the induced degree sum.  A member v's
-    induced degree is popcount(mask & nbr[v]), exact integer arithmetic.
-    The range is a power of two long and starts at a multiple of its
-    length, so the masks holding v are every other run of 2^v masks, or
-    the whole range, or none of it.
+
+def _edge_count_tables(nbrs: np.ndarray, length: int):
+    """Yield (lo, tables) for each aligned chunk [lo, lo + length) of the
+    subset masks: tables[t] holds frame t's induced edge count (half the
+    degree sum) of every mask in the chunk, as int16.  nbrs is the (T, n)
+    uint32 array of neighbour masks; the tables buffer is reused.
+
+    The low bits of a chunk's masks run over [0, length) and its high bits
+    are lo.  The table of the low masks is built once, by doubling: adding
+    the top vertex v to a mask L below 2^v adds popcount(L & nbr[v]) edges.
+    A chunk adds its high members' own edges, then one pass per high member
+    for its edges into the low bits.
     """
-    size = hi - lo
-    masks = np.arange(lo, hi, dtype=np.int64)
-    sizes = np.bitwise_count(masks)
-    stats = []
-    for nbr in nbrs:
-        # a mask's degree sum is at most n(n-1) <= 650; min degrees start at n
-        acc = np.full(size, n, np.uint8) if min_degree else np.zeros(size, np.int16)
+    t_count, n = nbrs.shape
+    bits = length.bit_length() - 1
+    low = np.arange(length, dtype=np.uint32)
+    hits = np.empty((t_count, length), np.uint32)
+    low_edges = np.zeros((t_count, length), np.int16)
+    for v in range(bits):
+        run = 1 << v
+        np.bitwise_and(low[:run], nbrs[:, v, None], out=hits[:, :run])
+        np.add(low_edges[:, :run], np.bitwise_count(hits[:, :run]),
+               out=low_edges[:, run:2 * run])
+    tables = np.empty_like(low_edges)
+    for lo in range(0, 1 << n, length):
+        high = [v for v in range(bits, n) if lo >> v & 1]
+        own = np.bitwise_count(nbrs[:, high] & np.uint32(lo)).sum(axis=1, dtype=np.int16) // 2
+        np.add(low_edges, own[:, None], out=tables)
+        for v in high:
+            np.bitwise_and(low, nbrs[:, v, None], out=hits)
+            tables += np.bitwise_count(hits)
+        yield lo, tables
+
+
+def _min_degree_tables(nbrs: np.ndarray, length: int):
+    """As _edge_count_tables, with frame t's minimum induced degree of every
+    mask, as uint8 (0 for the empty mask).
+
+    Each member v lowers a mask's minimum to popcount(mask & nbr[v]).  In
+    an aligned chunk the masks holding v are every other run of 2^v masks
+    (v a low bit), all of them or none (v a high bit).  A run shorter than
+    64 masks makes a slow strided view, so there every mask is scored and a
+    non-member's count is pushed past n by OR-ing in every bit.
+    """
+    t_count, n = nbrs.shape
+    span = min(length, 64)
+    low = np.arange(length, dtype=np.uint32)
+    # outside[v, j]: every bit if mask j (mod span) lacks v, else none
+    shifts = np.arange(span.bit_length() - 1, dtype=np.uint32)[:, None]
+    outside = (low[:span] >> shifts & 1) - np.uint32(1)
+    masks = np.empty(length, np.uint32)
+    hits = np.empty((t_count, length), np.uint32)
+    tables = np.empty((t_count, length), np.uint8)
+    for lo in range(0, 1 << n, length):
+        np.bitwise_or(low, np.uint32(lo), out=masks)
+        tables.fill(n)
         for v in range(n):
             run = 1 << v
-            if run < size:
+            if span <= run < length:
                 members = masks.reshape(-1, 2, run)[:, 1]
-                out = acc.reshape(-1, 2, run)[:, 1]
-            elif lo & run:
-                members, out = masks, acc
-            else:
+                out = tables.reshape(t_count, -1, 2, run)[:, :, 1]
+                np.minimum(out, np.bitwise_count(members & nbrs[:, v, None, None]), out=out)
                 continue
-            deg = np.bitwise_count(members & nbr[v])
-            if min_degree:
-                np.minimum(out, deg, out=out)
-            else:
-                out += deg
-        if min_degree and lo == 0:
-            acc[0] = 0  # the empty mask has no member to lower it from n
-        stats.append(acc)
-    return sizes, stats
+            if run >= length and not lo & run:
+                continue  # no mask of the chunk holds v
+            np.bitwise_and(masks, nbrs[:, v, None], out=hits)
+            if run < length:
+                rows = hits.reshape(t_count, -1, span)
+                rows |= outside[v]
+            np.minimum(tables, np.bitwise_count(hits), out=tables)
+        if lo == 0:
+            tables[:, 0] = 0  # the empty mask has no member to lower it from n
+        yield lo, tables
 
 
 def _members(mask: int, n: int) -> tuple[int, ...]:
@@ -116,24 +178,25 @@ def exact_best(
         raise BudgetExceeded(f"n = {n} needs {16 << n} bytes of subset tables, "
                              f"over the {_MAX_TABLE_BYTES}-byte cap")
     kind.check_order(g.T)
-    nbrs = [_neighbour_masks(frame, n) for frame in g.frames]
+    nbrs = np.array([_neighbour_masks(e, n) for e in g.edge_arrays], dtype=np.uint32)
 
-    full = 1 << n
-    nums = np.empty(full, dtype=np.int64)
-    sizes = np.empty(full, dtype=np.int64)
-    for lo in range(0, full, _CHUNK):
-        hi = min(lo + _CHUNK, full)
-        sz, stats = _chunk_tables(nbrs, n, lo, hi, kind.min_degree)
-        nums[lo:hi] = kind.aggregate(np.stack(stats))
-        sizes[lo:hi] = sz
-
+    nums = np.empty(1 << n, dtype=np.int64)
     per_size_max = np.zeros(n + 1, dtype=np.int64)  # every table entry is >= 0
-    np.maximum.at(per_size_max, sizes, nums)
-    vals = [Fraction(int(per_size_max[s0]), kind.divisor(s0)) for s0 in range(1, n + 1)]
+    length = _chunk_length(n, g.T)
+    low_sizes = np.bitwise_count(np.arange(length, dtype=np.uint32))
+    tables_of = _min_degree_tables if kind.min_degree else _edge_count_tables
+    for lo, tables in tables_of(nbrs, length):
+        chunk = nums[lo:lo + length]
+        chunk[:] = kind.aggregate(tables)
+        np.maximum.at(per_size_max[lo.bit_count():], low_sizes, chunk)
+
+    scale = 1 if kind.min_degree else 2  # a degree sum is twice the edge count
+    vals = [Fraction(scale * int(per_size_max[s0]), kind.divisor(s0))
+            for s0 in range(1, n + 1)]
     best_val = max(vals)
     s_star = vals.index(best_val) + 1  # the smallest size reaching it
-    target = per_size_max[s_star]
-    candidates = np.nonzero((sizes == s_star) & (nums == target))[0]
+    candidates = np.flatnonzero(nums == per_size_max[s_star])
+    candidates = candidates[np.bitwise_count(candidates) == s_star]
     best_mask = min((int(m) for m in candidates), key=lambda m: _members(m, n))
     solution = VertexSet(_members(best_mask, n))
     return solution, score(g, solution, kind)
@@ -242,7 +305,7 @@ def exact_mis(graph: TemporalGraph, budget: OracleBudget | None = None) -> int:
         raise NotSingleFrame("input must be a single-frame graph")
     n = graph.n
     budget.check_vertices(n)
-    nbr = _neighbour_masks(graph.frames[0], n)
+    nbr = _neighbour_masks(graph.edge_arrays[0], n)
     memo: dict[int, int] = {0: 0}
 
     def mis(mask: int) -> int:

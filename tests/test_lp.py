@@ -139,6 +139,11 @@ def test_gap_report_examples():
     assert gap_report(8).integral_opt == Fraction(1, 8)
 
 
+def test_gap_report_at_n18_across_oracle_chunks():
+    # 17 frames and 2^18 masks: eight 2^15-mask oracle chunks
+    assert gap_report(18).ratio == Fraction(220540320, 54394463)
+
+
 def test_gap_instance_every_proper_subset_scores_zero():
     for n in range(2, 8):
         g = gen_gap_instance(n)

@@ -1,8 +1,10 @@
 """Brute-force oracles: golden examples, naive cross-checks, determinism."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dcs import (
@@ -32,7 +34,7 @@ from dcs import (
     score,
 )
 from dcs import oracle
-from helpers import naive_best, random_connected, random_temporal
+from helpers import naive_best, naive_stats, random_connected, random_temporal
 
 TINY = parse("3 2\n0 0 1\n1 0 1\n1 1 2\n")
 
@@ -77,6 +79,78 @@ def test_exact_best_same_across_chunk_sizes(monkeypatch):
     monkeypatch.setattr(oracle, "_CHUNK", 4)
     for g, kind, want in cases:
         assert exact_best(g, kind) == want
+
+
+def test_subset_tables_match_a_per_mask_recount_at_every_chunk_length():
+    rng = random.Random(43)
+    for n in range(1, 11):
+        g = random_temporal(rng, n, rng.randint(1, 3))
+        nbrs = np.array([oracle._neighbour_masks(e, n) for e in g.edge_arrays],
+                        dtype=np.uint32)
+        want = {False: [], True: []}  # edge counts, then min degrees
+        for t in range(g.T):
+            stats = [naive_stats(g, t, oracle._members(mask, n)) if mask else (0, 0)
+                     for mask in range(1 << n)]
+            want[False].append([count for count, _ in stats])
+            want[True].append([min_deg for _, min_deg in stats])
+        for bits in range(n + 1):
+            length = 1 << bits
+            for min_degree, tables_of in ((False, oracle._edge_count_tables),
+                                          (True, oracle._min_degree_tables)):
+                # the tables buffer is reused from chunk to chunk
+                chunks = [(lo, tables.copy()) for lo, tables in tables_of(nbrs, length)]
+                assert [lo for lo, _ in chunks] == list(range(0, 1 << n, length))
+                got = np.concatenate([tables for _, tables in chunks], axis=1)
+                assert got.tolist() == want[min_degree], (n, length, min_degree)
+
+
+def test_chunk_length_bounds_frames_times_masks():
+    assert oracle._chunk_length(16, 1) == oracle._chunk_length(16, 16) == 1 << 16
+    assert oracle._chunk_length(16, 17) == 1 << 15
+    assert oracle._chunk_length(16, 200) == 1 << 12
+    assert oracle._chunk_length(3, 1) == 8
+    assert oracle._chunk_length(20, 2**21) == 1
+
+
+def test_exact_best_scratch_is_bounded_as_frames_grow():
+    g = TemporalGraph(16, [[(0, 1)]] * 200)
+    for kind in (MA, AM, KMA(100)):
+        tracemalloc.start()
+        try:
+            s, sc = exact_best(g, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.members == (0, 1)
+        # 2^16 int64 values (0.5 MiB), then 4096-mask chunks: 200 x 4096
+        # table cells of about 10 bytes each, some 8 MiB.  A whole-range
+        # chunk held 51 MiB (MA) and 76 MiB (KMA) of per-frame tables here.
+        assert peak < 12 * 2**20, f"{kind}: peak {peak / 2**20:.1f} MiB"
+
+
+def test_exact_best_pinned_across_two_chunks():
+    # n = 17: the masks span two default-length chunks, the second with a high member
+    g = random_temporal(random.Random(17), 17, 3)
+    assert oracle._chunk_length(g.n, g.T) == 1 << 16
+    want = {
+        MM: ((4, 8), Fraction(1)),
+        MA: ((3, 4, 8, 13, 15), Fraction(4, 5)),
+        AM: ((2, 3, 5, 8, 9, 10, 15, 16), Fraction(8)),
+        AA: (tuple(range(17)), Fraction(244, 17)),
+        KMA(2): ((0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 12, 13, 14, 15, 16), Fraction(47, 15)),
+    }
+    for kind, (members, value) in want.items():
+        s, sc = exact_best(g, kind)
+        assert (s.members, sc.value) == (members, value), kind
+
+
+def test_subset_oracles_read_the_edge_arrays_only():
+    g = random_temporal(random.Random(5), 9, 3)
+    path = TemporalGraph(9, [[(0, 1), (1, 2), (4, 7)]])
+    for kind in (MM, MA, AM, AA, KMA(2)):
+        exact_best(g, kind)
+    assert exact_mis(path) == 7
+    assert "frames" not in vars(g) and "frames" not in vars(path)
 
 
 def test_exact_best_tie_break_smallest_then_lexicographic():
