@@ -7,15 +7,35 @@ maximizes sum(k_i) over threshold vectors with a nonempty core; the FPT
 variant restricts each k_i to the rounded geometric grid
 {0} union {floor((1+eps)^l)} and is within a (1+eps) factor of exact.
 
-Vector enumeration is lexicographic with two sound prunings that never
-change the result: branches that cannot strictly beat the incumbent sum
-are cut, and every componentwise superset of an empty-core vector is
-skipped.  Minimal empty vectors form a frontier, read once per node:
-below prefix (frames 0..t-1) an entry e dominates (prefix, k, 0, ...) iff
-e is zero after t, e <= prefix before t and e[t] <= k, so frame t's loop
-stops at k_dom, the least e[t] over those entries.  Entries recorded
-deeper are nonzero after t (the k = 0 child is its parent's nonempty
-core), so none joins or leaves that set while the loop runs.
+Vector enumeration is lexicographic with three sound prunings that never
+change the result: each drops only vectors that cannot strictly beat the
+incumbent sum, or whose core is empty.  A node (prefix, ...) fixes frames
+0..t-1 and starts from C, the core of (prefix, 0, ...), which holds the
+core of every vector below it.
+
+* Incumbent cut.  The node is cut when sum(prefix) plus, for each frame
+  s >= t, a bound on frame s's threshold is at most the incumbent sum;
+  the root's bounds are each frame's largest candidate.
+* Empty frontier.  Every componentwise superset of an empty-core vector
+  is skipped.  Minimal empty vectors form a frontier, read once per
+  node: below prefix an entry e dominates (prefix, k, 0, ...) iff e is
+  zero after t, e <= prefix before t and e[t] <= k, so frame t's loop
+  stops at k_dom, the least e[t] over those entries.  Entries recorded
+  deeper are nonzero after t (the k = 0 child is its parent's nonempty
+  core), so none joins or leaves that set while the loop runs.
+* Core-number cut.  Frame s's threshold in any nonempty core inside C is
+  at most frame s's degeneracy inside C (its largest core number,
+  Batagelj and Zaversnik), rounded down to the grid; these are the
+  incumbent cut's bounds at every node above the last frame (cores of
+  threshold vectors: Galimberti, Bonchi and Gullo, CIKM 2017).  A
+  last-frame node (t = T-1) takes its parent's frame-(T-1) bound instead
+  of its own.  Bounds are computed frame by frame, and the pass stops
+  once the partial sum cuts: a bound inherited from an ancestor's core
+  is never lower, as that core is a superset.  Frame t's bound serves
+  only the node's own cut, so it comes last and is skipped once the
+  exact later bounds rule the cut out.  A node whose core is its
+  parent's own set (a no-op peel) inherits exact bounds and computes
+  none.  So the cut is a fixed function of the node.
 
 Every peel starts from a core that already contains its answer, together
 with that core's exact per-frame degrees, so no peel recomputes degrees:
@@ -28,13 +48,15 @@ with that core's exact per-frame degrees, so no peel recomputes degrees:
   k_prev < k, since core(prefix, k) is a subset of core(prefix, k_prev).
 
 Either start set meets every threshold except frame t's, so only frame t
-is scanned for the first violators.  Peeling decrements degrees in every
-frame as vertices go (Batagelj and Zaversnik's O(m) core update), which
-keeps the degrees handed on exact.
+is scanned for the first violators.  Peeling decrements degrees as
+vertices go (Batagelj and Zaversnik's O(m) core update), in the frames
+read below the node only: those with a positive threshold and those after
+t.  Their degrees stay exact; the other rows are shared, not copied.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from operator import le
 from typing import Iterable, Sequence
@@ -58,43 +80,85 @@ def _validate_vector(g: TemporalGraph, thresholds) -> CoreVector:
     return kv
 
 
-def _full_degrees(g: TemporalGraph) -> Degrees:
-    return [[len(nbrs) for nbrs in g.adjacency(t)] for t in range(g.T)]
+def _full_degrees(adj: Sequence[Sequence[frozenset[int]]]) -> Degrees:
+    return [[len(nbrs) for nbrs in frame] for frame in adj]
 
 
 def _peel(
-    g: TemporalGraph,
+    adj: Sequence[Sequence[frozenset[int]]],
     kv: CoreVector,
     alive: frozenset[int],
     deg: Degrees,
-    frames: Iterable[int],
+    scan: Iterable[int],
+    keep: Sequence[int],
 ) -> tuple[frozenset[int], Degrees]:
     """Maximal subset of `alive` meeting all thresholds, and its degrees.
 
-    deg[t][v] is the frame-t degree of v inside `alive`, for every v in
-    `alive`; only the frames in `frames` may hold a violator to begin with.
-    Degrees are decremented in every frame as vertices go, so the returned
-    ones are exact for the returned set (entries of removed vertices are
-    stale).  The arguments are never modified.
+    adj[t] is frame t's adjacency, and deg[t][v] is the frame-t degree of v
+    inside `alive`, for every v in `alive`; only the frames in `scan` may
+    hold a violator to begin with.  The rows of the frames in `keep`, which
+    must include every frame with a positive threshold, are copied and
+    decremented as vertices go, so they are exact for the returned set
+    (entries of removed vertices are stale).  The other rows are shared
+    with `deg` and go stale.  The arguments are never modified.
     """
-    stack = [v for t in frames if kv[t] for v in alive if deg[t][v] < kv[t]]
+    stack = [v for t in scan if kv[t] for v in alive if deg[t][v] < kv[t]]
     if not stack:
         return alive, deg
     left = set(alive)
-    deg = [row[:] for row in deg]
-    steps = [(g.adjacency(t), deg[t], kv[t] - 1) for t in range(g.T)]
+    deg = deg[:]
+    steps = []
+    for t in keep:
+        deg[t] = row = deg[t][:]
+        steps.append((adj[t], row, kv[t] - 1))
     while stack:
         v = stack.pop()
         if v not in left:
             continue
         left.remove(v)
-        for adj, d, below in steps:
-            for w in adj[v]:
+        for nbrs, d, below in steps:
+            for w in nbrs[v]:
                 if w in left:
                     d[w] -= 1
                     if d[w] == below:
                         stack.append(w)
     return frozenset(left), deg
+
+
+def _grid_degeneracy(
+    nbrs: Sequence[frozenset[int]],
+    alive: frozenset[int],
+    row: Sequence[int],
+    values: Sequence[int],
+    cap: int,
+) -> int:
+    """The frame's degeneracy inside `alive`, rounded down to `values`, or
+    `cap` if lower: the largest k <= cap in `values` whose core is nonempty.
+
+    `values` ascends from 0 and holds `cap`; row[v] is v's degree inside
+    `alive`.  Levels are peeled bottom-up (Batagelj and Zaversnik): after
+    each, the survivors' least degree m puts the answer at or above the
+    largest grid value <= m, so the next level tested is the one after it,
+    and the pass stops once that value reaches `cap`.
+    """
+    d = {v: row[v] for v in alive}
+    i = 0
+    while True:
+        i = bisect_right(values, min(d.values()), i) - 1
+        if values[i] >= cap:
+            return cap
+        below = values[i + 1] - 1
+        stack = [v for v, x in d.items() if x <= below]
+        while stack:
+            v = stack.pop()
+            del d[v]
+            for w in nbrs[v]:
+                if w in d:
+                    d[w] -= 1
+                    if d[w] == below:
+                        stack.append(w)
+        if not d:
+            return values[i]
 
 
 def core(g: TemporalGraph, thresholds) -> VertexSet:
@@ -104,7 +168,9 @@ def core(g: TemporalGraph, thresholds) -> VertexSet:
     never rejoin a core of any subset, so the maximal core is unique.
     """
     kv = _validate_vector(g, thresholds)
-    alive, _ = _peel(g, kv, frozenset(range(g.n)), _full_degrees(g), range(g.T))
+    adj = [g.adjacency(t) for t in range(g.T)]
+    alive, _ = _peel(adj, kv, frozenset(range(g.n)), _full_degrees(adj),
+                     range(g.T), [t for t in range(g.T) if kv[t]])
     return VertexSet(alive)
 
 
@@ -121,15 +187,14 @@ def _search(g: TemporalGraph, grid: Sequence[int],
     if max_vectors < 1:
         raise ValueError(f"max_vectors must be at least 1, got {max_vectors}")
     t_count = g.T
+    last = t_count - 1
+    adj = [g.adjacency(t) for t in range(t_count)]
     values_per_frame = [[k for k in grid if k <= cap]
                         for cap in map(g.max_degree, range(t_count))]
     best_value = -1
     best_core: frozenset[int] = frozenset(range(g.n))
     empties: list[CoreVector] = []
     visited = 0
-    suffix_max = [0] * (t_count + 1)
-    for t in range(t_count - 1, -1, -1):
-        suffix_max[t] = suffix_max[t + 1] + values_per_frame[t][-1]
 
     def record_empty(vec: CoreVector) -> None:
         nonlocal empties
@@ -138,15 +203,33 @@ def _search(g: TemporalGraph, grid: Sequence[int],
         ]
         empties.append(vec)
 
-    def descend(
-        t: int, prefix: tuple[int, ...], alive: frozenset[int], deg: Degrees
-    ) -> None:
+    def descend(t: int, prefix: tuple[int, ...], alive: frozenset[int],
+                deg: Degrees, bounds: list[int], exact: bool) -> None:
+        # bounds[s], for s >= t, is at least frame s's threshold in every
+        # nonempty core inside alive: the frame's grid degeneracy inside
+        # alive or inside an ancestor's core; `exact` when all are alive's.
         nonlocal best_value, best_core, visited
-        if sum(prefix) + suffix_max[t] <= best_value:
+        total = sum(prefix) + sum(bounds[t:])
+        if total <= best_value:
             return
+        if t < last and not exact:
+            bounds = bounds[:]
+            # Later frames first, as the children read them; frame t's bound
+            # serves only this cut, so it is skipped once the rest rule it out.
+            for s in [*range(t + 1, t_count), t]:
+                if s == t and total - bounds[t] > best_value:
+                    break
+                bound = _grid_degeneracy(adj[s], alive, deg[s],
+                                         values_per_frame[s], bounds[s])
+                total -= bounds[s] - bound
+                bounds[s] = bound
+                if total <= best_value:
+                    return
         zeros = (0,) * (t_count - t - 1)
         k_dom = min((e[t] for e in empties
                      if e[t + 1:] == zeros and all(map(le, e, prefix))), default=g.n)
+        start = alive
+        keep = [s for s in range(t) if prefix[s]] + list(range(t, t_count))
         for k in values_per_frame[t]:
             if k >= k_dom:
                 break
@@ -157,18 +240,19 @@ def _search(g: TemporalGraph, grid: Sequence[int],
                     f"threshold-vector search exceeded cap {max_vectors}"
                 )
             # alive is the previous sibling's core, or the parent's core.
-            alive, deg = _peel(g, vec, alive, deg, (t,))
+            alive, deg = _peel(adj, vec, alive, deg, (t,), keep)
             if not alive:
                 record_empty(vec)
                 break
-            if t == t_count - 1:
+            if t == last:
                 value = sum(prefix) + k
                 if value > best_value:
                     best_value, best_core = value, alive
             else:
-                descend(t + 1, prefix + (k,), alive, deg)
+                descend(t + 1, prefix + (k,), alive, deg, bounds, alive is start)
 
-    descend(0, (), frozenset(range(g.n)), _full_degrees(g))
+    descend(0, (), frozenset(range(g.n)), _full_degrees(adj),
+            [values[-1] for values in values_per_frame], False)
     return VertexSet(best_core), best_value
 
 

@@ -280,19 +280,32 @@ def naive_am_search(g: TemporalGraph, values_per_frame):
     return best
 
 
+def naive_degeneracy(g: TemporalGraph, t: int, members) -> int:
+    """Frame t's degeneracy inside `members`: the largest least degree met
+    while removing a least-degree vertex, one vertex at a time."""
+    left = set(members)
+    result = 0
+    while left:
+        degree = {v: sum(1 for w in g.adjacency(t)[v] if w in left) for v in left}
+        v = min(left, key=degree.__getitem__)
+        result = max(result, degree[v])
+        left.remove(v)
+    return result
+
+
 def naive_pruned_am_search(g: TemporalGraph, values_per_frame):
     """The threshold search with a per-vector scan of the empty frontier.
 
-    Walks (prefix, k, 0, ...) in am._search's order with its two prunings,
-    but tests every vector against every recorded minimal empty vector and
-    peels every vector from scratch.  Returns (core, value, peels): the
-    core of the first vector with the best sum, that sum and the number
-    of vectors peeled.
+    Walks (prefix, k, 0, ...) in am._search's order with its three
+    prunings, but tests every vector against every recorded minimal empty
+    vector, peels every vector from scratch and computes every core-number
+    bound afresh: at a node above the last frame, frame s's bound is its
+    degeneracy inside core(prefix, 0, ...), rounded down to
+    values_per_frame[s]; a last-frame node takes its parent's last-frame
+    bound.  Returns (core, value, peels): the core of the first vector
+    with the best sum, that sum and the number of vectors peeled.
     """
     t_count = g.T
-    suffix_max = [0] * (t_count + 1)
-    for t in range(t_count - 1, -1, -1):
-        suffix_max[t] = suffix_max[t + 1] + values_per_frame[t][-1]
     best_value, best_core = -1, frozenset(range(g.n))
     empties = []
     peels = 0
@@ -305,9 +318,16 @@ def naive_pruned_am_search(g: TemporalGraph, values_per_frame):
         empties = [e for e in empties if not all(e[i] >= vec[i] for i in range(t_count))]
         empties.append(vec)
 
-    def descend(t, prefix):
+    def descend(t, prefix, last_bound):
         nonlocal best_value, best_core, peels
-        if sum(prefix) + suffix_max[t] <= best_value:
+        if t < t_count - 1:
+            start = naive_core(g, prefix + (0,) * (t_count - t), random.Random(0))
+            degeneracies = [naive_degeneracy(g, s, start) for s in range(t, t_count)]
+            bounds = [max(k for k in values if k <= d)
+                      for values, d in zip(values_per_frame[t:], degeneracies)]
+        else:
+            bounds = [last_bound]
+        if sum(prefix) + sum(bounds) <= best_value:
             return
         for k in values_per_frame[t]:
             vec = prefix + (k,) + (0,) * (t_count - t - 1)
@@ -322,9 +342,9 @@ def naive_pruned_am_search(g: TemporalGraph, values_per_frame):
                 if sum(vec) > best_value:
                     best_value, best_core = sum(vec), alive
             else:
-                descend(t + 1, prefix + (k,))
+                descend(t + 1, prefix + (k,), bounds[-1])
 
-    descend(0, ())
+    descend(0, (), values_per_frame[-1][-1])
     return best_core, best_value, peels
 
 

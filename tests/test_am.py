@@ -11,6 +11,7 @@ from dcs import (
     BudgetExceeded,
     MM,
     TemporalGraph,
+    VertexSet,
     core,
     exact_am,
     exact_best,
@@ -119,37 +120,77 @@ def test_exact_am_budget():
 
 
 def test_exact_am_budget_boundary_pins_peel_count():
-    # The search peels exactly 101 threshold vectors on this instance.
+    # The search peels exactly 65 threshold vectors on this instance.
     g = random_temporal(random.Random(11), 10, 3, density=0.5)
-    solution, value = exact_am(g, max_vectors=101)
+    solution, value = exact_am(g, max_vectors=65)
     assert solution.members == (0, 1, 3, 4, 6, 9) and value == 8
     with pytest.raises(BudgetExceeded):
-        exact_am(g, max_vectors=100)
+        exact_am(g, max_vectors=64)
 
 
 def test_fpt_approx_am_runs_under_the_peel_cap(monkeypatch):
     # eps <= 1/(n-1) puts every integer on the grid, so fpt_approx_am peels
-    # the same 101 vectors as exact_am on this instance
+    # the same 65 vectors as exact_am on this instance
     g = random_temporal(random.Random(11), 10, 3, density=0.5)
-    monkeypatch.setattr(am, "_MAX_VECTORS", 101)
+    monkeypatch.setattr(am, "_MAX_VECTORS", 65)
     solution, value = fpt_approx_am(g, Fraction(1, 100))
     assert solution.members == (0, 1, 3, 4, 6, 9) and value == 8
-    monkeypatch.setattr(am, "_MAX_VECTORS", 100)
-    with pytest.raises(BudgetExceeded, match="exceeded cap 100"):
+    monkeypatch.setattr(am, "_MAX_VECTORS", 64)
+    with pytest.raises(BudgetExceeded, match="exceeded cap 64"):
         fpt_approx_am(g, Fraction(1, 100))
 
 
 def test_exact_am_frontier_stops_an_inner_frame_loop():
     # Three copies of the path 0-1-2-3: each frame has a 1-core and no
-    # 2-core.  (0, 2, 0) is recorded empty under prefix (0,), so below
-    # prefix (1,) the frame-1 loop stops at k = 2 without peeling
-    # (1, 2, 0); the search peels 17 vectors.
+    # 2-core, so every frame's degeneracy bound is 1.  (0, 2, 0) is
+    # recorded empty under prefix (0,), so below prefix (1,) the frame-1
+    # loop stops at k = 2 without peeling (1, 2, 0); likewise (0, 0, 2)
+    # stops the frame-2 loops below (0, 1) and (1, 1) at k = 2.  The
+    # last-frame node below (1, 0) is cut by its parent's frame-2 bound,
+    # as 1 + 0 + 1 does not beat the sum 2 of (0, 1, 1), so (1, 0, 0) and
+    # (1, 0, 1) are not peeled there; the search peels 15 vectors (18
+    # without the frontier).
     path = [(0, 1), (1, 2), (2, 3)]
     g = TemporalGraph(4, [path, path, path])
-    solution, value = exact_am(g, max_vectors=17)
+    solution, value = exact_am(g, max_vectors=15)
     assert solution.members == (0, 1, 2, 3) and value == 3
-    with pytest.raises(BudgetExceeded, match="exceeded cap 16$"):
-        exact_am(g, max_vectors=16)
+    with pytest.raises(BudgetExceeded, match="exceeded cap 14$"):
+        exact_am(g, max_vectors=14)
+
+
+def test_exact_am_at_n100_t6_under_the_default_cap():
+    g = random_temporal(random.Random(1), 100, 6, density=0.1)
+    assert exact_am(g)[1] == 27
+
+
+@pytest.mark.slow
+def test_exact_am_at_n100_t8_under_the_default_cap():
+    g = random_temporal(random.Random(1), 100, 8, density=0.1)
+    assert exact_am(g)[1] == 35
+
+
+def test_am_solvers_are_invariant_past_the_oracle():
+    # Relations any exact search must keep, at sizes the oracle cannot
+    # check: a vertex relabelling maps the core, a frame permutation keeps
+    # the value, and an extra isolated vertex keeps core and value.  The
+    # last needs a positive value: the all-zero vector's core is V.
+    rng = random.Random(67)
+    for _ in range(6):
+        n, t_count = rng.randint(30, 80), rng.randint(3, 5)
+        g = random_temporal(rng, n, t_count, density=rng.uniform(0.05, 0.15))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabelled = TemporalGraph(n, [[(perm[u], perm[v]) for u, v in fr] for fr in g.frames])
+        order = list(range(t_count))
+        rng.shuffle(order)
+        permuted = TemporalGraph(n, [g.frames[t] for t in order])
+        padded = TemporalGraph(n + 1, g.frames)
+        for solve in (exact_am, lambda h: fpt_approx_am(h, Fraction(1, 2))):
+            solution, value = solve(g)
+            assert value > 0
+            assert solve(relabelled) == (VertexSet(perm[v] for v in solution), value)
+            assert solve(permuted)[1] == value
+            assert solve(padded) == (solution, value)
 
 
 @pytest.mark.parametrize("bad", [100.5, "7", None, 1.0])
