@@ -9,6 +9,12 @@ across the frames that contain it.  Progress is measured by the potential
 
 which starts at nT - T, strictly decreases at every pick, and hits zero
 exactly when F is feasible.
+
+Components are kept as a label per vertex per frame, with each label's
+member list.  A merge relabels the smaller component into the larger, so a
+vertex is relabelled O(log n) times per frame, and the greedy's gain scan
+is one label comparison per (edge, frame).  Every path here reads the
+graph's edge arrays and union index, never its `frames` tuples.
 """
 
 from __future__ import annotations
@@ -47,29 +53,29 @@ class GreedyRun:
     phase_boundary: int                # pick index where potential first dropped to <= n
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: list[int], u: int, v: int) -> bool:
-    """Join the components of u and v; True iff they were apart."""
-    ru, rv = _find(parent, u), _find(parent, v)
-    parent[ru] = rv  # a no-op when ru == rv
-    return ru != rv
+def _merge(label: list[int], members: list[list[int]], u: int, v: int) -> bool:
+    """Join the components of u and v, relabelling the smaller; True iff they were apart."""
+    a, b = label[u], label[v]
+    if a == b:
+        return False
+    if len(members[a]) < len(members[b]):
+        a, b = b, a
+    for w in members[b]:
+        label[w] = a
+    members[a] += members[b]
+    members[b] = []
+    return True
 
 
 def component_count(n: int, edges) -> int:
-    parent = list(range(n))
-    return n - sum(_union(parent, u, v) for u, v in edges)
+    label, members = list(range(n)), [[v] for v in range(n)]
+    return n - sum(_merge(label, members, u, v) for u, v in edges)
 
 
 def require_connected(g: TemporalGraph) -> None:
     """Raise InfeasibleFrame naming the first disconnected frame, if any."""
-    for t, frame_edges in enumerate(g.frames):
-        if component_count(g.n, frame_edges) != 1:
+    for t, a in enumerate(g.edge_arrays):
+        if component_count(g.n, zip(*a.T.tolist())) != 1:
             raise InfeasibleFrame(f"frame {t} is disconnected")
 
 
@@ -85,8 +91,8 @@ def potential(g: TemporalGraph, f: EdgeSolution) -> int:
         raise EdgeNotInUnion(f"edges {extra} are not in the union edge set")
     chosen = set(f.edges)
     return sum(
-        component_count(g.n, [e for e in frame_edges if e in chosen])
-        for frame_edges in g.frames
+        component_count(g.n, (e for e in zip(*a.T.tolist()) if e in chosen))
+        for a in g.edge_arrays
     ) - g.T
 
 
@@ -107,7 +113,8 @@ def mcss_greedy_run(g: TemporalGraph) -> GreedyRun:
     require_connected(g)
     frames_of = g.edge_frames
 
-    parents = [list(range(n)) for _ in range(T)]
+    labels = [list(range(n)) for _ in range(T)]
+    members = [[[v] for v in range(n)] for _ in range(T)]
     rho = n * T - T
     picks: list[Edge] = []
     gains: list[int] = []
@@ -120,14 +127,15 @@ def mcss_greedy_run(g: TemporalGraph) -> GreedyRun:
             u, v = e
             gain = 0
             for t in frames:
-                if _find(parents[t], u) != _find(parents[t], v):
+                label = labels[t]
+                if label[u] != label[v]:
                     gain += 1
             if gain > best_gain:
                 best_edge, best_gain = e, gain
         assert best_edge is not None  # connected frames guarantee a useful edge
         u, v = best_edge
         for t in frames_of[best_edge]:
-            _union(parents[t], u, v)
+            _merge(labels[t], members[t], u, v)
         rho -= best_gain
         picks.append(best_edge)
         gains.append(best_gain)

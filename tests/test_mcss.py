@@ -1,7 +1,9 @@
 """Greedy common-spanning-subgraph selection and its potential function."""
 
+import hashlib
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -114,3 +116,31 @@ def test_setcover_family_forces_the_spine():
 def test_infeasible_frame():
     with pytest.raises(InfeasibleFrame):
         mcss_greedy(TemporalGraph(3, [[(0, 1)]]))
+
+
+def test_mcss_paths_read_the_edge_arrays_only():
+    g = random_connected(random.Random(113), 6, 3, max_union=10)
+    run = mcss_greedy_run(g)
+    assert check_spanning(g, run.solution) and potential(g, run.solution) == 0
+    assert len(exact_mcss(g)) <= len(run.solution)
+    split = TemporalGraph(3, [[(0, 1), (1, 2)], [(0, 1)]])
+    with pytest.raises(InfeasibleFrame):
+        mcss_greedy(split)
+    assert "frames" not in vars(g) and "frames" not in vars(split)
+
+
+@pytest.mark.slow
+def test_greedy_on_connected_n200_t16():
+    # each frame: a random spanning tree plus Bernoulli(0.05) extra pairs
+    rng = random.Random(1)
+    frames = []
+    for _ in range(16):
+        order = list(range(200))
+        rng.shuffle(order)
+        tree = {tuple(sorted((order[rng.randrange(i)], order[i]))) for i in range(1, 200)}
+        frames.append(tree | {e for e in combinations(range(200), 2) if rng.random() < 0.05})
+    g = TemporalGraph(200, frames)
+    run = mcss_greedy_run(g)
+    assert len(g.union_edges) == 12427 and len(run.picks) == 1144
+    digest = hashlib.sha256(repr((run.picks, run.gains)).encode()).hexdigest()
+    assert digest == "c2343da4f2af6ead8e2a820538ccfb8c8efbfaee736d46e6807bad969688681b"

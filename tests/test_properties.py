@@ -385,6 +385,13 @@ def test_lp_model_matches_naive_rows_and_export(g):
 @PROPERTY
 @given(st.integers(1, 9), st.integers(1, 4), st.sampled_from([0.0, 0.2, 0.6, 1.0]),
        st.integers(0, 2**32))
+# Components of 20-40 vertices: a merge that relabels a component into
+# itself, where the committed edge's ends already share it, empties its
+# member list, and a later merge then misses its vertices.
+@example(n=21, t_count=4, extra=0.2, seed=1)
+@example(n=35, t_count=5, extra=0.2, seed=3)
+@example(n=36, t_count=6, extra=0.6, seed=8)
+@example(n=36, t_count=3, extra=0.2, seed=14)
 def test_mcss_greedy_matches_naive_eager_loop(n, t_count, extra, seed):
     g = random_connected(random.Random(seed), n, t_count, extra=extra)
     run = mcss_greedy_run(g)
