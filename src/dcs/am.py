@@ -17,12 +17,15 @@ core of every vector below it.
   s >= t, a bound on frame s's threshold is at most the incumbent sum;
   the root's bounds are each frame's largest candidate.
 * Empty frontier.  Every componentwise superset of an empty-core vector
-  is skipped.  Minimal empty vectors form a frontier, read once per
-  node: below prefix an entry e dominates (prefix, k, 0, ...) iff e is
-  zero after t, e <= prefix before t and e[t] <= k, so frame t's loop
-  stops at k_dom, the least e[t] over those entries.  Entries recorded
-  deeper are nonzero after t (the k = 0 child is its parent's nonempty
-  core), so none joins or leaves that set while the loop runs.
+  is skipped.  Minimal empty vectors form a frontier, bucketed by their
+  last nonzero frame.  Below prefix an entry e dominates (prefix, k, 0,
+  ...) iff e is zero after t, e <= prefix before t and e[t] <= k, so
+  frame t's loop stops at k_dom, the least e[t] over those entries.
+  Only bucket t can hold one: an earlier bucket's entry would dominate
+  (prefix, 0, ...), whose core is nonempty, and later buckets' entries,
+  among them all recorded below the node, are nonzero after t.  So k_dom
+  is read once per node from bucket t, and an empty (prefix, k, 0, ...)
+  filters only bucket t.
 * Core-number cut.  Frame s's threshold in any nonempty core inside C is
   at most frame s's degeneracy inside C (its largest core number,
   Batagelj and Zaversnik), rounded down to the grid; these are the
@@ -37,6 +40,13 @@ core of every vector below it.
   parent's own set (a no-op peel) inherits exact bounds and computes
   none.  So the cut is a fixed function of the node.
 
+A fourth rule, the bound-empty rule, saves a peel but not a visit, which
+is what a search's cap counts.  Frame t's bound at a node (its own, an
+ancestor's, or at the last frame its parent's) is at least frame t's
+threshold in every nonempty core inside C, so the first candidate above
+it is recorded empty unpeeled and ends frame t's loop, as an empty peel
+would.
+
 Every peel starts from a core that already contains its answer, together
 with that core's exact per-frame degrees, so no peel recomputes degrees:
 
@@ -48,17 +58,21 @@ with that core's exact per-frame degrees, so no peel recomputes degrees:
   k_prev < k, since core(prefix, k) is a subset of core(prefix, k_prev).
 
 Either start set meets every threshold except frame t's, so only frame t
-is scanned for the first violators.  Peeling decrements degrees as
-vertices go (Batagelj and Zaversnik's O(m) core update), in the frames
-read below the node only: those with a positive threshold and those after
-t.  Their degrees stay exact; the other rows are shared, not copied.
+is scanned for the first violators.  Degrees are kept exact only in the
+frames read below the node: those with a positive threshold and those
+after t.  Rows with a positive threshold are decremented as vertices go
+(Batagelj and Zaversnik's O(m) core update).  The zero-threshold rows,
+those after t, cannot produce a violator, so they are decremented once
+the peel ends, over the removed vertices, and only if the core is
+nonempty: a peel that ends empty never touches them.  The other rows are
+shared, not copied.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from operator import le
+from operator import ge, le
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded
@@ -67,7 +81,7 @@ from .temporal import TemporalGraph, VertexSet, as_int
 CoreVector = tuple[int, ...]
 Degrees = list[list[int]]  # deg[t][v]: frame-t degree of v inside a vertex set
 
-_MAX_VECTORS = 10**8  # default cap on threshold vectors peeled per search
+_MAX_VECTORS = 10**8  # default cap on threshold vectors visited per search
 
 
 def _validate_vector(g: TemporalGraph, thresholds) -> CoreVector:
@@ -98,30 +112,48 @@ def _peel(
     inside `alive`, for every v in `alive`; only the frames in `scan` may
     hold a violator to begin with.  The rows of the frames in `keep`, which
     must include every frame with a positive threshold, are copied and
-    decremented as vertices go, so they are exact for the returned set
-    (entries of removed vertices are stale).  The other rows are shared
-    with `deg` and go stale.  The arguments are never modified.
+    kept exact for the returned set (entries of removed vertices are
+    stale): rows with a positive threshold are decremented as vertices go,
+    and zero-threshold rows afterwards, over the removed vertices, only if
+    the set is nonempty.  The other rows are shared with `deg` and go
+    stale.  The arguments are never modified.
     """
-    stack = [v for t in scan if kv[t] for v in alive if deg[t][v] < kv[t]]
+    stack = []
+    for t in scan:
+        row, k = deg[t], kv[t]
+        if k:
+            stack += [v for v in alive if row[v] < k]
     if not stack:
         return alive, deg
     left = set(alive)
     deg = deg[:]
     steps = []
     for t in keep:
-        deg[t] = row = deg[t][:]
-        steps.append((adj[t], row, kv[t] - 1))
+        if kv[t]:
+            deg[t] = row = deg[t][:]
+            steps.append((adj[t], row, kv[t] - 1))
+    removed = []
     while stack:
         v = stack.pop()
         if v not in left:
             continue
         left.remove(v)
+        removed.append(v)
         for nbrs, d, below in steps:
             for w in nbrs[v]:
                 if w in left:
                     d[w] -= 1
                     if d[w] == below:
                         stack.append(w)
+    if left:
+        for t in keep:
+            if not kv[t]:
+                nbrs = adj[t]
+                deg[t] = row = deg[t][:]
+                for v in removed:
+                    for w in nbrs[v]:
+                        if w in left:
+                            row[w] -= 1
     return frozenset(left), deg
 
 
@@ -181,7 +213,8 @@ def _search(g: TemporalGraph, grid: Sequence[int],
     Frame t's candidates are the values of `grid` (ascending, starting at
     0) up to frame t's maximum degree.  Returns the core of the first
     vector attaining the best sum, and that sum; the cap counts vectors
-    actually peeled and raises BudgetExceeded past it.
+    visited, that is peeled or shown empty by a bound, and raises
+    BudgetExceeded past it.
     """
     max_vectors = as_int(max_vectors, "max_vectors")
     if max_vectors < 1:
@@ -193,15 +226,14 @@ def _search(g: TemporalGraph, grid: Sequence[int],
                         for cap in map(g.max_degree, range(t_count))]
     best_value = -1
     best_core: frozenset[int] = frozenset(range(g.n))
-    empties: list[CoreVector] = []
+    # empties[t]: the minimal empty vectors whose last nonzero entry is frame t
+    empties: list[list[CoreVector]] = [[] for _ in range(t_count)]
     visited = 0
 
-    def record_empty(vec: CoreVector) -> None:
-        nonlocal empties
-        empties = [
-            e for e in empties if not all(e[i] >= vec[i] for i in range(t_count))
-        ]
-        empties.append(vec)
+    def record_empty(t: int, vec: CoreVector) -> None:
+        bucket = empties[t]
+        bucket[:] = [e for e in bucket if not all(map(ge, e, vec))]
+        bucket.append(vec)
 
     def descend(t: int, prefix: tuple[int, ...], alive: frozenset[int],
                 deg: Degrees, bounds: list[int], exact: bool) -> None:
@@ -226,8 +258,7 @@ def _search(g: TemporalGraph, grid: Sequence[int],
                 if total <= best_value:
                     return
         zeros = (0,) * (t_count - t - 1)
-        k_dom = min((e[t] for e in empties
-                     if e[t + 1:] == zeros and all(map(le, e, prefix))), default=g.n)
+        k_dom = min((e[t] for e in empties[t] if all(map(le, e, prefix))), default=g.n)
         start = alive
         keep = [s for s in range(t) if prefix[s]] + list(range(t, t_count))
         for k in values_per_frame[t]:
@@ -239,10 +270,13 @@ def _search(g: TemporalGraph, grid: Sequence[int],
                 raise BudgetExceeded(
                     f"threshold-vector search exceeded cap {max_vectors}"
                 )
+            if k > bounds[t]:  # no nonempty core inside alive reaches k in frame t
+                record_empty(t, vec)
+                break
             # alive is the previous sibling's core, or the parent's core.
             alive, deg = _peel(adj, vec, alive, deg, (t,), keep)
             if not alive:
-                record_empty(vec)
+                record_empty(t, vec)
                 break
             if t == last:
                 value = sum(prefix) + k
@@ -260,7 +294,8 @@ def exact_am(g: TemporalGraph, max_vectors: int = _MAX_VECTORS) -> tuple[VertexS
     """Exact optimum of the degree-sum objective for small T.
 
     Enumerates k_i in [0, maxdeg(frame i)] with dominance pruning, under
-    the peel cap `max_vectors`, an integer of at least 1.
+    the cap `max_vectors`, an integer of at least 1, on the vectors
+    visited: peeled, or shown empty by a bound.
     """
     return _search(g, range(g.n), max_vectors)
 
@@ -296,6 +331,6 @@ def fpt_approx_am(g: TemporalGraph, eps) -> tuple[VertexSet, int]:
 
     Rounding each entry of an optimal vector down to the grid keeps its
     core nonempty and loses at most a (1+eps) factor per entry.  Runs
-    under exact_am's default peel cap.
+    under exact_am's default cap on visited vectors.
     """
     return _search(g, threshold_grid(eps, g.n - 1), _MAX_VECTORS)

@@ -158,6 +158,41 @@ def test_exact_am_frontier_stops_an_inner_frame_loop():
         exact_am(g, max_vectors=14)
 
 
+def test_exact_am_bound_empty_siblings_are_not_peeled(monkeypatch):
+    # The three-path instance above.  Below the root, each frame's
+    # degeneracy bound is 1, so (0, 2, 0) below prefix (0,) and (0, 0, 2)
+    # below (0, 0) are recorded empty without a peel.  The root's own
+    # frame-0 bound is never computed (the later frames' bounds cannot cut
+    # the root), so it stays at the largest candidate 2 and (2, 0, 0) is
+    # peeled.  The search visits 15 vectors and peels 13 of them.
+    path = [(0, 1), (1, 2), (2, 3)]
+    g = TemporalGraph(4, [path, path, path])
+    peeled = []
+    real_peel = am._peel
+
+    def counting_peel(adj, kv, *rest):
+        peeled.append(kv)
+        return real_peel(adj, kv, *rest)
+
+    monkeypatch.setattr(am, "_peel", counting_peel)
+    solution, value = exact_am(g, max_vectors=15)
+    assert solution.members == (0, 1, 2, 3) and value == 3
+    assert len(peeled) == 15 - 2
+    assert (0, 2, 0) not in peeled and (0, 0, 2) not in peeled
+    assert (2, 0, 0) in peeled
+    with pytest.raises(BudgetExceeded, match="exceeded cap 14$"):
+        exact_am(g, max_vectors=14)
+
+
+def test_exact_am_budget_boundary_pins_visit_count_at_n100_t6():
+    # The search visits exactly 7,098 threshold vectors on this instance,
+    # far past the sizes the property tests draw.
+    g = random_temporal(random.Random(1), 100, 6, density=0.1)
+    assert exact_am(g, max_vectors=7098)[1] == 27
+    with pytest.raises(BudgetExceeded, match="exceeded cap 7097$"):
+        exact_am(g, max_vectors=7097)
+
+
 def test_exact_am_at_n100_t6_under_the_default_cap():
     g = random_temporal(random.Random(1), 100, 6, density=0.1)
     assert exact_am(g)[1] == 27

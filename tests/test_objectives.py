@@ -105,6 +105,17 @@ def test_kma_monotone_in_order():
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def test_kma_aggregate_is_the_kth_entry_of_each_sorted_column():
+    # small values give many ties; the oracle's tables are int16 and uint8
+    rng = np.random.default_rng(7)
+    for t_count in (1, 2, 3, 4, 5, 8, 13):
+        for dtype in (np.int16, np.uint8):
+            table = rng.integers(0, 4, size=(t_count, 40)).astype(dtype)
+            for k in range(1, t_count + 1):
+                want = [sorted(column)[t_count - k] for column in table.T.tolist()]
+                assert KMA(k).aggregate(table).tolist() == want
+
+
 def test_degree_sum_formulation_is_twice_ma():
     # min over frames of (sum of induced degrees)/|S| equals 2 * MA score
     rng = random.Random(9)
