@@ -13,6 +13,11 @@ Subcommands wrap the library one verb per area:
 `--alg`, `solve` and `bench` read it, so adding a solver is one entry plus
 its function.  `lp gap` checks `--budget-n` before it builds anything.
 
+Only `temporal`, `objectives` and `errors` load with this module; each verb
+imports the library modules it runs when it runs them, so `eval` loads no
+solver and `solve --alg exact-am` loads `am` alone.  A solver's wall_time
+includes its module's import when the process first runs that module.
+
 Reports are JSON on stdout (scores as exact rational strings "p/q");
 human diagnostics go to stderr.  Exit codes: 0 success, 1 usage error,
 2 infeasible or invalid instance, 3 enumeration budget exceeded; any
@@ -31,10 +36,14 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import NamedTuple
+from importlib import import_module
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import am, generators, lp, ma, mcss, objectives, oracle, temporal
+from . import objectives, temporal
 from .errors import BudgetExceeded, DcsError, InfeasibleFrame
+
+if TYPE_CHECKING:
+    from . import ma, mcss, oracle
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -157,8 +166,8 @@ def _build_parser() -> _Parser:
                      choices=["mm", "ma", "am", "aa", "kma", "mcss"])
     orc.add_argument("--in", dest="infile", required=True)
     orc.add_argument("--k", type=_k, default=None, help="KMA order")
-    orc.add_argument("--budget-n", type=_budget, default=oracle.OracleBudget.max_vertices)
-    orc.add_argument("--budget-edges", type=_budget, default=oracle.OracleBudget.max_union_edges)
+    orc.add_argument("--budget-n", type=_budget)
+    orc.add_argument("--budget-edges", type=_budget)
 
     lp_cmd = sub.add_parser("lp", help="LP relaxation tools")
     lp_sub = lp_cmd.add_subparsers(dest="lp_command", required=True)
@@ -169,7 +178,7 @@ def _build_parser() -> _Parser:
     l_chk.add_argument("--n", type=int, required=True)
     l_gap = lp_sub.add_parser("gap", help="LP value vs integral optimum")
     l_gap.add_argument("--n", type=int, required=True)
-    l_gap.add_argument("--budget-n", type=_budget, default=oracle.OracleBudget.max_vertices)
+    l_gap.add_argument("--budget-n", type=_budget)
 
     ev = sub.add_parser("eval", help="score a given vertex set")
     ev.add_argument("--in", dest="infile", required=True)
@@ -218,6 +227,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _run_gen(args) -> dict:
+    from . import generators
+
     names: dict[int, str] | None = None
     if args.generator == "mis" and args.infile:
         # a bad input file is an invalid instance, not a bad flag value
@@ -269,15 +280,15 @@ class Result(NamedTuple):
     fields: dict
 
     def body(self) -> dict:
-        if isinstance(self.solution, mcss.EdgeSolution):
-            return {"edges": [list(e) for e in self.solution], "size": self.value, **self.fields}
-        return {"solution": list(self.solution), "score": str(self.value), **self.fields}
+        if isinstance(self.solution, temporal.VertexSet):
+            return {"solution": list(self.solution), "score": str(self.value), **self.fields}
+        return {"edges": [list(e) for e in self.solution], "size": self.value, **self.fields}
 
     def text(self) -> str:
-        """The --out file: 'u v' lines for an edge set, one vertex per line otherwise."""
-        if isinstance(self.solution, mcss.EdgeSolution):
-            return "".join(f"{u} {v}\n" for u, v in self.solution)
-        return "".join(f"{v}\n" for v in self.solution)
+        """The --out file: one vertex per line for a vertex set, 'u v' lines for an edge set."""
+        if isinstance(self.solution, temporal.VertexSet):
+            return "".join(f"{v}\n" for v in self.solution)
+        return "".join(f"{u} {v}\n" for u, v in self.solution)
 
 
 def _from_ma(rep: ma.SolveReport) -> Result:
@@ -297,26 +308,43 @@ def _from_am(g: temporal.TemporalGraph, alg: str, found) -> Result:
 
 
 def _from_mcss(g: temporal.TemporalGraph, run: mcss.GreedyRun) -> Result:
+    from .mcss import check_spanning
+
     return Result(run.solution, len(run.solution), {
         "algorithm": "mcss-greedy", "gains": list(run.gains), "phase_boundary": run.phase_boundary,
-        "spanning": mcss.check_spanning(g, run.solution)})
+        "spanning": check_spanning(g, run.solution)})
 
 
-# every solver, in the order bench reports them; each entry looks its library
-# function up when called, so a patched module attribute takes effect
+def _lib(name: str):
+    """The library module dcs.<name>, imported on first use."""
+    return import_module(f"{__package__}.{name}")
+
+
+# every solver, in the order bench reports them; each entry imports its module
+# and looks its library function up when called, so a patched module
+# attribute takes effect
 SOLVERS = {
-    "greedy-ma": lambda g, eps: _from_ma(ma.greedy_cover(g)),
-    "best-with-all": lambda g, eps: _from_ma(ma.best_with_all(g)),
-    "composite-ma": lambda g, eps: _from_ma(ma.composite_ma(g)),
-    "exact-am": lambda g, eps: _from_am(g, "exact-am", am.exact_am(g)),
-    "fpt-am": lambda g, eps: _from_am(g, "fpt-am", am.fpt_approx_am(g, eps)),
-    "mcss-greedy": lambda g, eps: _from_mcss(g, mcss.mcss_greedy_run(g)),
+    "greedy-ma": lambda g, eps: _from_ma(_lib("ma").greedy_cover(g)),
+    "best-with-all": lambda g, eps: _from_ma(_lib("ma").best_with_all(g)),
+    "composite-ma": lambda g, eps: _from_ma(_lib("ma").composite_ma(g)),
+    "exact-am": lambda g, eps: _from_am(g, "exact-am", _lib("am").exact_am(g)),
+    "fpt-am": lambda g, eps: _from_am(g, "fpt-am", _lib("am").fpt_approx_am(g, eps)),
+    "mcss-greedy": lambda g, eps: _from_mcss(g, _lib("mcss").mcss_greedy_run(g)),
 }
+
+
+def _oracle_budget(**caps: int | None) -> oracle.OracleBudget:
+    """The caps given as flags; OracleBudget's field defaults fill the rest."""
+    from .oracle import OracleBudget
+
+    return OracleBudget(**{field: cap for field, cap in caps.items() if cap is not None})
 
 
 def _exact(g: temporal.TemporalGraph, kind: objectives.ObjectiveKind | None,
            budget: oracle.OracleBudget) -> Result:
     """The oracle's optimum under `kind`, or its smallest spanning edge set for None."""
+    from . import oracle
+
     if kind is None:
         solution = oracle.exact_mcss(g, budget)
         return Result(solution, len(solution), {"objective": "mcss"})
@@ -344,11 +372,14 @@ def _run_oracle(args) -> dict:
         raise _UsageError("oracle --objective kma needs --k, and no other objective takes it")
     g = temporal.load(args.infile)
     kind = None if args.objective == "mcss" else objectives.ObjectiveKind(args.objective, args.k)
-    _, body = _timed(_exact, g, kind, oracle.OracleBudget(args.budget_n, args.budget_edges))
+    _, body = _timed(_exact, g, kind, _oracle_budget(
+        max_vertices=args.budget_n, max_union_edges=args.budget_edges))
     return {"instance": _instance_info(g, args.infile), "result": body}
 
 
 def _run_lp(args) -> dict:
+    from . import lp
+
     if args.lp_command == "export":
         g = temporal.load(args.infile)
         model = lp.build_lp(g)
@@ -376,7 +407,7 @@ def _run_lp(args) -> dict:
             },
         }
     with _flag_values():
-        report = lp.gap_report(args.n, oracle.OracleBudget(max_vertices=args.budget_n))
+        report = lp.gap_report(args.n, _oracle_budget(max_vertices=args.budget_n))
     return {
         "result": {
             "n": args.n,

@@ -31,12 +31,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import oracle as _oracle
 from .errors import DcsError, DomainMismatch
-from .generators import gen_gap_instance
 from .objectives import MA
 from .temporal import Edge, TemporalGraph
+
+if TYPE_CHECKING:
+    from .oracle import OracleBudget
 
 
 @dataclass
@@ -151,6 +153,8 @@ def harmonic_solution(n: int) -> tuple[TemporalGraph, FractionalSolution]:
     y = h / i; each edge carries the smaller endpoint mass, so every frame's
     edges sum to exactly h and z = h is feasible (tight on every frame).
     """
+    from .generators import gen_gap_instance
+
     g = gen_gap_instance(n)
     h = 1 / (1 + harmonic_number(n - 1))
     y = {0: h}
@@ -167,7 +171,7 @@ class GapReport:
     ratio: Fraction
 
 
-def gap_report(n: int, budget: "_oracle.OracleBudget | None" = None) -> GapReport:
+def gap_report(n: int, budget: OracleBudget | None = None) -> GapReport:
     """Certified LP value vs. brute-force integral optimum on the gap family.
 
     The ratio is exactly n / (1 + H_{n-1}): the harmonic solution is checked
@@ -175,11 +179,13 @@ def gap_report(n: int, budget: "_oracle.OracleBudget | None" = None) -> GapRepor
     side is enumerated.  An n over the budget is refused before the
     instance is built.
     """
-    budget = budget or _oracle.OracleBudget()
+    from .oracle import OracleBudget, exact_best
+
+    budget = budget or OracleBudget()
     budget.check_vertices(n)
     g, f = harmonic_solution(n)
     feasible, value, violations = check_feasible(g, f)
     if not feasible:
         raise DcsError(f"harmonic solution unexpectedly infeasible: {violations}")
-    _, best = _oracle.exact_best(g, MA, budget)
+    _, best = exact_best(g, MA, budget)
     return GapReport(lp_value=value, integral_opt=best.value, ratio=value / best.value)

@@ -31,14 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BudgetExceeded, NotSingleFrame, Uncoverable
-from .generators import MinRepInstance, SetCoverInstance
-from .mcss import EdgeSolution, require_connected
 from .objectives import ObjectiveKind, Score, score
 from .temporal import TemporalGraph, VertexSet
+
+if TYPE_CHECKING:
+    from .generators import MinRepInstance, SetCoverInstance
+    from .mcss import EdgeSolution
 
 # masks per chunk at most; a power of two, so every chunk is an aligned power-of-two range
 _CHUNK = 1 << 16
@@ -211,6 +214,8 @@ def exact_mcss(g: TemporalGraph, budget: OracleBudget | None = None) -> EdgeSolu
     redundant in any minimum solution; a frame needing more merges than the
     remaining suffix provides is a dead end).
     """
+    from .mcss import EdgeSolution, require_connected
+
     budget = budget or OracleBudget()
     union = g.union_edges
     m = len(union)

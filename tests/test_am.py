@@ -148,8 +148,9 @@ def test_exact_am_frontier_stops_an_inner_frame_loop():
     # stops the frame-2 loops below (0, 1) and (1, 1) at k = 2.  The
     # last-frame node below (1, 0) is cut by its parent's frame-2 bound,
     # as 1 + 0 + 1 does not beat the sum 2 of (0, 1, 1), so (1, 0, 0) and
-    # (1, 0, 1) are not peeled there; the search peels 15 vectors (18
-    # without the frontier).
+    # (1, 0, 1) are not peeled there.  The search visits 15 vectors (18
+    # without the frontier) and peels 13 of them: the bound records
+    # (0, 2, 0) and (0, 0, 2) empty without a peel.
     path = [(0, 1), (1, 2), (2, 3)]
     g = TemporalGraph(4, [path, path, path])
     solution, value = exact_am(g, max_vectors=15)

@@ -583,3 +583,18 @@ def test_lp_gap_refuses_an_over_budget_n_before_building(monkeypatch):
     code, _, err = invoke("lp", "gap", "--n", "25")
     assert code == EXIT_BUDGET
     assert err == "budget exceeded: n = 25 exceeds subset budget 20\n"
+
+
+# the oracle's caps default to OracleBudget's fields, read when the verb runs
+@pytest.mark.parametrize("objective, g, message", [
+    ("ma", TemporalGraph(21, [[(v, v + 1) for v in range(20)]]),
+     "n = 21 exceeds subset budget 20"),
+    ("mcss", TemporalGraph(8, [[(u, v) for u in range(8) for v in range(u + 1, 8)][:23]]),
+     "|E| = 23 exceeds edge-subset budget 22"),
+])
+def test_oracle_default_caps(tmp_path, objective, g, message):
+    path = tmp_path / "g.dcs"
+    path.write_text(serialize(g))
+    code, _, err = invoke("oracle", "--objective", objective, "--in", str(path))
+    assert code == EXIT_BUDGET
+    assert err == f"budget exceeded: {message}\n"
