@@ -13,8 +13,13 @@ exactly when F is feasible.
 Components are kept as a label per vertex per frame, with each label's
 member list.  A merge relabels the smaller component into the larger, so a
 vertex is relabelled O(log n) times per frame, and the greedy's gain scan
-is one label comparison per (edge, frame).  Every path here reads the
-graph's edge arrays and union index, never its `frames` tuples.
+is one label comparison per (edge, frame).  The scan walks a live list of
+union edges and drops an edge at the first scan where its gain is 0.
+Components only merge, so a gain never rises and a dropped edge could
+never be picked again (a pick needs a positive gain).  The list keeps
+union order, so the pick is still the first maximum-gain edge in union
+order.  Every path here reads the graph's edge arrays and union index,
+never its `frames` tuples.
 """
 
 from __future__ import annotations
@@ -120,18 +125,23 @@ def mcss_greedy_run(g: TemporalGraph) -> GreedyRun:
     gains: list[int] = []
     potentials: list[int] = []
 
+    live = list(frames_of.items())
     while rho > 0:
         best_edge: Edge | None = None
         best_gain = 0
-        for e, frames in frames_of.items():
-            u, v = e
+        kept = []
+        for item in live:
+            (u, v), frames = item
             gain = 0
             for t in frames:
                 label = labels[t]
                 if label[u] != label[v]:
                     gain += 1
-            if gain > best_gain:
-                best_edge, best_gain = e, gain
+            if gain:
+                kept.append(item)
+                if gain > best_gain:
+                    best_edge, best_gain = item[0], gain
+        live = kept
         assert best_edge is not None  # connected frames guarantee a useful edge
         u, v = best_edge
         for t in frames_of[best_edge]:

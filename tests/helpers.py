@@ -108,6 +108,22 @@ def random_connected(rng: random.Random, n: int, t_count: int,
     return TemporalGraph(n, frames)
 
 
+def random_wide_connected(rng: random.Random, n: int, t_count: int,
+                          p: float) -> TemporalGraph:
+    """Every frame its own random spanning tree plus each pair with probability p.
+
+    Frames share no edge pool, so the union is several times a frame's size.
+    """
+    frames = []
+    for _ in range(t_count):
+        order = list(range(n))
+        rng.shuffle(order)
+        edges = {tuple(sorted((order[rng.randrange(i)], order[i]))) for i in range(1, n)}
+        edges |= {e for e in combinations(range(n), 2) if rng.random() < p}
+        frames.append(sorted(edges))
+    return TemporalGraph(n, frames)
+
+
 def naive_build(n: int, t_count: int, records) -> TemporalGraph:
     """The graph of (line, t, u, v) edge records, checked one record at a
     time: integer labels, vertex range, self-loop, then duplicate.
@@ -467,6 +483,27 @@ def naive_mcss_greedy(g: TemporalGraph) -> tuple:
     if boundary is None:
         boundary = len(picks)
     return tuple(picks), tuple(gains), tuple(potentials), boundary
+
+
+def naive_merge_counts(g: TemporalGraph, chosen) -> dict:
+    """Frames in which each union edge would merge two components of the
+    chosen edges' subgraph, by a fresh union-find per frame."""
+    counts = {}
+    for frame in g.frames:
+        parent = list(range(g.n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        edges = set(frame)
+        for u, v in chosen:
+            if (u, v) in edges:
+                parent[find(u)] = find(v)
+        for u, v in frame:
+            counts[(u, v)] = counts.get((u, v), 0) + (find(u) != find(v))
+    return counts
 
 
 def naive_superedges(mr) -> dict:

@@ -22,7 +22,7 @@ from dcs import (
     random_set_cover,
     reduce_setcover_to_mcss,
 )
-from helpers import random_connected
+from helpers import naive_mcss_greedy, random_connected, random_wide_connected
 
 TRI_PATH = TemporalGraph(3, [[(0, 1), (0, 2), (1, 2)], [(0, 1), (1, 2)]])
 
@@ -127,6 +127,17 @@ def test_mcss_paths_read_the_edge_arrays_only():
     with pytest.raises(InfeasibleFrame):
         mcss_greedy(split)
     assert "frames" not in vars(g) and "frames" not in vars(split)
+
+
+def test_greedy_matches_naive_on_wide_unions():
+    # each frame its own spanning tree plus Bernoulli(0.03) pairs: most
+    # union edges stop merging long before the last pick
+    rng = random.Random(127)
+    for _ in range(3):
+        g = random_wide_connected(rng, 60, 8, 0.03)
+        run = mcss_greedy_run(g)
+        got = (run.picks, run.gains, run.potentials, run.phase_boundary)
+        assert got == naive_mcss_greedy(g)
 
 
 @pytest.mark.slow

@@ -58,6 +58,7 @@ from helpers import (
     naive_lp_check,
     naive_lp_rows,
     naive_mcss_greedy,
+    naive_merge_counts,
     naive_parse,
     naive_partition_search,
     naive_pruned_am_search,
@@ -398,6 +399,23 @@ def test_mcss_greedy_matches_naive_eager_loop(n, t_count, extra, seed):
     got = (run.picks, run.gains, run.potentials, run.phase_boundary)
     assert got == naive_mcss_greedy(g)
     assert run.solution.edges == tuple(sorted(run.picks))
+
+
+@PROPERTY
+@given(st.integers(1, 9), st.integers(1, 4), st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+       st.integers(0, 2**32))
+def test_mcss_merge_counts_never_rise_along_the_picks(n, t_count, extra, seed):
+    # the greedy drops an edge from its scan at gain 0; that is exact only
+    # if no edge's count of merging frames rises after a later pick
+    g = random_connected(random.Random(seed), n, t_count, extra=extra)
+    picks = mcss_greedy_run(g).picks
+    counts = naive_merge_counts(g, ())
+    for i, e in enumerate(picks, 1):
+        after = naive_merge_counts(g, picks[:i])
+        assert all(after[f] <= c for f, c in counts.items())
+        assert after[e] == 0
+        counts = after
+    assert not any(counts.values())
 
 
 @PROPERTY
