@@ -135,7 +135,7 @@ def score(g: TemporalGraph, s: VertexSet | Iterable[int], kind: ObjectiveKind) -
     inside[members] = True
     per = []
     for edges in g.edge_arrays:
-        induced = edges[inside[edges].all(axis=1)]
+        induced = edges[inside[edges[:, 0]] & inside[edges[:, 1]]]
         if kind.min_degree:
             per.append(int(np.bincount(induced.ravel(), minlength=g.n)[members].min()))
         else:

@@ -10,11 +10,13 @@ with cached views.  The on-disk format is plain text:
 
 Parsing is whitespace-tolerant; serialization is canonical (edges sorted
 by (t, u, v) with u < v, single spaces, trailing newline) so equal graphs
-produce byte-identical files.  Canonical text is read with one array
-conversion, any other text line by line; the accepted language is the same
-either way.  Parsed edges, constructed frames and generated edge arrays all
-pass one array validator, and an error names the same line on either path:
-the first faulty record in file order.
+produce byte-identical files.  Canonical text is recognized by a match of
+the header line and array checks on the body's bytes, which hold no
+per-line object and peak at about 48 bytes per edge line; it is then read
+with one array conversion.  Any other text is read line by line, and the
+accepted language is the same either way.  Parsed edges, constructed frames
+and generated edge arrays all pass one array validator, and an error names
+the same line on either path: the first faulty record in file order.
 """
 
 from __future__ import annotations
@@ -134,7 +136,9 @@ class TemporalGraph:
         order = (np.argsort(edges[:, 0] * n + edges[:, 1], kind="stable") if n < 1 << 31
                  else np.lexsort(edges.T[::-1]))
         ranked = edges[order]
-        first = np.diff(ranked, axis=0, prepend=-1).any(axis=1)  # row 0 and each new row
+        u, v = ranked.T
+        first = np.ones(len(ranked), dtype=bool)  # row 0 and each new row
+        first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
         position = np.empty(len(ranked), dtype=np.int64)
         position[order] = first.cumsum() - 1
         union = np.ascontiguousarray(ranked[first].T)
@@ -229,9 +233,34 @@ class VertexSet:
         return f"VertexSet({list(self.members)})"
 
 
-# The text serialize writes: ASCII digits, single spaces, "\n" line ends.
-# Edge tokens of at most 18 digits always fit int64.
-_CANONICAL = re.compile(rb"[0-9]+ [0-9]+\n(?:[0-9]{1,18} [0-9]{1,18} [0-9]{1,18}\n)*")
+# The text serialize writes: the header "<n> <T>\n", then edge lines of three
+# ASCII digit tokens, each line "<t> <u> <v>\n" with single spaces.  Edge
+# tokens of at most 18 digits always fit int64.
+_HEADER = re.compile(rb"[0-9]+ [0-9]+\n")
+
+
+def _canonical_header(text: bytes) -> int:
+    """Length of text's header line if text is canonical, else 0.
+
+    The body is checked as one uint8 view of its bytes, with no per-line
+    Python object or regex frame: every byte is a digit, a space or a
+    newline, the last one a newline; the non-digits run space, space,
+    newline; and every token has 1-18 digits.  Its arrays peak at about
+    48 bytes per edge line: each token's int64 end, then the gaps between.
+    """
+    head = _HEADER.match(text)
+    if head is None:
+        return 0
+    body = np.frombuffer(text, dtype=np.uint8, offset=head.end())
+    if not len(body):
+        return head.end()
+    if body[-1] != ord("\n") or body.max() > ord("9"):
+        return 0
+    ends = np.flatnonzero(body < ord("0"))  # the separator after each token
+    if len(ends) % 3 or body[ends].tobytes() != b"  \n" * (len(ends) // 3):
+        return 0
+    width = np.diff(ends)  # each later token's digits and the separator before it
+    return head.end() if 1 <= ends[0] <= 18 and 2 <= width.min() and width.max() <= 19 else 0
 
 
 def parse(text: str | bytes) -> TemporalGraph:
@@ -239,14 +268,15 @@ def parse(text: str | bytes) -> TemporalGraph:
 
     Tolerates extra whitespace, blank lines, and '#' comments.  Raises a
     ParseError subclass naming the offending 1-based line on bad input.
-    Canonical text is read in one array conversion, any other text line by
-    line; both feed the same validator.
+    Canonical text is recognized by `_canonical_header`, whose arrays peak
+    at about 48 bytes per edge line, and read in one array conversion; any
+    other text is read line by line.  Both feed the same validator.
     """
     if isinstance(text, str) and text.isascii():
         text = text.encode("ascii")
-    if isinstance(text, bytes) and _CANONICAL.fullmatch(text):
-        head, _, body = text.partition(b"\n")
-        n, t_count = _header(head.decode("ascii"), 1)
+    if isinstance(text, bytes) and (start := _canonical_header(text)):
+        n, t_count = _header(text[:start].decode("ascii"), 1)
+        body = np.frombuffer(text, dtype=np.uint8, offset=start)  # no copy
         tuv = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 3)
         return TemporalGraph._from_array(n, t_count, tuv, range(2, len(tuv) + 2))
     if isinstance(text, bytes):

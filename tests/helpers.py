@@ -8,6 +8,7 @@ an independent computation.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from operator import index
@@ -163,6 +164,12 @@ def naive_build(n: int, t_count: int, records) -> TemporalGraph:
     for edges in g.edge_arrays:
         edges.flags.writeable = False
     return g
+
+
+# Canonical text, as serialize writes it: the language of parse's array path.
+# temporal checks it with array ops instead, because this regex keeps one
+# backtracking frame per edge line.
+CANONICAL_TEXT = re.compile(rb"[0-9]+ [0-9]+\n(?:[0-9]{1,18} [0-9]{1,18} [0-9]{1,18}\n)*")
 
 
 def naive_parse(text) -> TemporalGraph:

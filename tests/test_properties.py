@@ -22,6 +22,7 @@ from dcs import (
     EdgeSolution,
     FractionalSolution,
     MinRepInstance,
+    NotUtf8,
     ParseError,
     SelfLoop,
     TemporalGraph,
@@ -49,6 +50,7 @@ from dcs import (
     temporal,
 )
 from helpers import (
+    CANONICAL_TEXT,
     naive_am_search,
     naive_best,
     naive_build,
@@ -254,6 +256,53 @@ def test_canonical_text_takes_the_array_path(monkeypatch):
     with pytest.raises(SelfLoop) as info:
         parse(text + "1 2 2\n")
     assert info.value.line == 5
+
+
+# headers the array path reads, and ones only the line path reads
+CANONICAL_HEADERS = [b"3 2\n", b"03 2\n"]
+LINE_HEADERS = [b"# c\n3 2\n", b"\n3 2\n", b" 3 2\n", b"3  2\n", b"3 2 \n", b"3\t2\n",
+                b"3 2\r\n", b"+3 2\n"]
+
+
+@st.composite
+def path_texts(draw):
+    """A header, canonical edge lines, then a few stray bytes of the kinds
+    that can make text other than canonical."""
+    header = draw(st.sampled_from(CANONICAL_HEADERS) | st.sampled_from(LINE_HEADERS))
+    token = st.sampled_from([0, 1, 2, 3, 10**17, 10**18])  # 1, 18 or 19 digits
+    lines = st.tuples(token, token, token).map(lambda tuv: b"%d %d %d\n" % tuv)
+    body = b"".join(draw(st.lists(lines, max_size=3)))
+    for byte in draw(st.lists(st.sampled_from(b"0123456789 \n\r\t-#\xe9"), max_size=2)):
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + bytes([byte]) + body[at:]
+    return header + body
+
+
+@PROPERTY
+@given(path_texts())
+@example(b"3 2\n0 1 " + b"9" * 18 + b"\n")  # 18 digits fit int64
+@example(b"3 2\n0 1 " + b"9" * 19 + b"\n")  # 19 digits may not
+@example(b"3 2\n")  # header only
+@example(b"3 2\n0 1 2")  # no final newline
+@example(b"3 2\n 0 1\n")  # leading space
+@example(b"3 2\n0  1\n")  # doubled space
+@example(b"3 2\n0 1 \n")  # trailing space
+@example(b"3 2\n0 1 2\xe9\n")  # a non-ASCII byte in a token
+@example(b"3 2\r\n0 1 2\r\n")  # CRLF
+def test_array_path_reads_exactly_the_canonical_language(text):
+    line_records, read_lines = temporal._line_records, []
+
+    def spy(lines):
+        read_lines.append(True)
+        return line_records(lines)
+
+    with patch.object(temporal, "_line_records", spy):
+        outcome = _outcome(lambda: parse(text))
+    # every header above passes the line path, which stops early only to
+    # report a byte that is not UTF-8; the array path never decodes
+    took_array_path = not read_lines and not isinstance(outcome, NotUtf8)
+    assert took_array_path == (CANONICAL_TEXT.fullmatch(text) is not None)
+    _same_outcome(outcome, _outcome(lambda: naive_parse(text)))
 
 
 def test_out_of_range_is_checked_before_self_loop():
