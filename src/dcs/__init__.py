@@ -32,6 +32,7 @@ _EXPORTS = {
             "FrameIndexOutOfRange",
             "InfeasibleFrame",
             "KOrderOutOfRange",
+            "MalformedEdgeLine",
             "MalformedHeader",
             "NoSuperedges",
             "NotSingleFrame",

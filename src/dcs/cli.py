@@ -246,9 +246,10 @@ def _run_gen(args) -> dict:
                 base = generators.random_graph(args.n, args.edge_prob, args.seed)
                 if base.n < 2:  # one vertex is always a complete graph
                     raise _UsageError(f"gen mis needs --n >= 2, got {args.n}")
-                if len(base.frames[0]) == base.n * (base.n - 1) // 2:
+                edges = base.edge_arrays[0]
+                if len(edges) == base.n * (base.n - 1) // 2:
                     # random draw came out complete: drop edge (0, 1) to stay reducible
-                    base = temporal.TemporalGraph(base.n, [base.frames[0][1:]])
+                    base = temporal.TemporalGraph(base.n, [edges[1:].tolist()])
                 g = generators.reduce_mis_to_am(base)
             elif args.generator == "planted":
                 g = generators.gen_planted_2frame(generators.PlantedParams(

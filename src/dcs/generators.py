@@ -82,7 +82,12 @@ class MinRepInstance:
 
 @dataclass(frozen=True)
 class SetCoverInstance:
-    """Universe 0..n_elems-1 plus subsets; minimize the number of chosen sets."""
+    """Universe 0..n_elems-1 plus subsets; minimize the number of chosen sets.
+
+    Every instance has a cover: an element that no set holds raises
+    `Uncoverable` here, naming the uncovered elements, so no consumer
+    re-checks it.
+    """
 
     n_elems: int
     sets: tuple[frozenset[int], ...]
@@ -95,6 +100,9 @@ class SetCoverInstance:
         for s in self.sets:
             if s and (min(s) < 0 or max(s) >= n_elems):
                 raise ValueError(f"set {sorted(s)} not within universe [0, {n_elems})")
+        missing = sorted(set(range(n_elems)).difference(*self.sets))
+        if missing:
+            raise Uncoverable(f"elements {missing} belong to no set")
 
 
 @dataclass(frozen=True)
@@ -324,10 +332,6 @@ def reduce_setcover_to_mcss(sc: SetCoverInstance) -> tuple[TemporalGraph, dict[i
     m = len(sc.sets)
     if m == 0:
         raise ValueError("need at least one set")
-    covered = frozenset().union(*sc.sets)
-    if len(covered) < sc.n_elems:
-        missing = sorted(set(range(sc.n_elems)) - covered)
-        raise Uncoverable(f"elements {missing} belong to no set")
     x_idx, y_idx = m, m + 1
     spine = [(y_idx, 0)] + [(j, j + 1) for j in range(m - 1)]
     frames: list[list[Edge]] = [[(x_idx, y_idx)] + spine]

@@ -233,14 +233,7 @@ def partition_blocks(n: int, t_count: int) -> list[tuple[int, ...]]:
     """Contiguous index blocks, r = min(n, 2*ceil(ln T)) of them (at least 1),
     with sizes differing by at most one."""
     r = min(n, 2 * math.ceil(math.log(t_count))) if t_count > 1 else 1
-    base, extra = divmod(n, r)
-    blocks = []
-    start = 0
-    for i in range(r):
-        size = base + (1 if i < extra else 0)
-        blocks.append(tuple(range(start, start + size)))
-        start += size
-    return blocks
+    return [tuple(block.tolist()) for block in np.array_split(np.arange(n), r)]
 
 
 def partition_search(g: TemporalGraph) -> SolveReport:

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotSingleFrame, Uncoverable
+from .errors import BudgetExceeded, NotSingleFrame
 from .objectives import ObjectiveKind, Score, score
 from .temporal import TemporalGraph, VertexSet
 
@@ -339,10 +339,5 @@ def exact_setcover(sc: SetCoverInstance, budget: OracleBudget | None = None) -> 
         for x in s:
             mask |= 1 << x
         masks.append(mask)
-    reachable = 0
-    for mask in masks:
-        reachable |= mask
-    if reachable != universe:
-        raise Uncoverable("some element belongs to no set")
     return _fewest_masks(masks, lambda got: got == universe)
 

@@ -17,6 +17,7 @@ from dcs import (
     gen_planted_2frame,
     lp,
     ma,
+    random_graph,
     reduce_mis_to_am,
     serialize,
 )
@@ -598,3 +599,40 @@ def test_oracle_default_caps(tmp_path, objective, g, message):
     code, _, err = invoke("oracle", "--objective", objective, "--in", str(path))
     assert code == EXIT_BUDGET
     assert err == f"budget exceeded: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gen", "planted", "--n", "20", "--eps", "abc"),
+     "argument --eps: not a rational number: 'abc'"),
+    (("oracle", "--objective", "am", "--budget-n", "abc"),
+     "argument --budget-n: budget must be a positive integer, got 'abc'"),
+    (("oracle", "--objective", "kma", "--k", "two"),
+     "argument --k: k must be a positive integer, got 'two'"),
+    (("gen", "mis"), "gen mis needs --in or --n"),
+])
+def test_unparsable_flag_values_are_usage_errors(tiny_path, tmp_path, argv, message):
+    out = tmp_path / "out.dcs"
+    argv += ("--out", str(out)) if argv[0] == "gen" else ("--in", tiny_path)
+    code, _, err = invoke(*argv)
+    assert code == EXIT_USAGE and err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, base", [
+    (("--n", "2", "--edge-prob", "1"), TemporalGraph(2, [[]])),  # complete draw, (0, 1) dropped
+    (("--n", "6", "--seed", "3"), random_graph(6, 0.5, 3)),
+], ids=["complete-draw", "seed3"])
+def test_gen_mis_reads_no_frame_tuples(tmp_path, monkeypatch, argv, base):
+    out = tmp_path / "m.dcs"
+    argv = ("gen", "mis", *argv, "--out", str(out))
+    want = invoke(*argv)
+    assert out.read_text() == serialize(reduce_mis_to_am(base))
+
+    def refuse(self):
+        raise AssertionError("gen mis read TemporalGraph.frames")
+
+    monkeypatch.setattr(TemporalGraph, "frames", property(refuse))
+    out.unlink()
+    assert invoke(*argv) == want
+    assert want[0] == EXIT_OK
+    assert out.read_text() == serialize(reduce_mis_to_am(base))

@@ -12,6 +12,7 @@ from dcs import (
     CompleteGraph,
     MA,
     MinRepInstance,
+    NoSuperedges,
     NotSingleFrame,
     NotUniform,
     PlantedParams,
@@ -334,3 +335,44 @@ def test_random_set_cover_matches_scalar_coins(size):
         for p in (0.0, 0.2, 0.5, 1.0):
             sc = random_set_cover(n_elems, num_sets, p, seed)
             assert [set(s) for s in sc.sets] == naive_set_cover_sets(n_elems, num_sets, p, seed)
+
+
+def test_setcover_instance_refuses_an_uncoverable_universe_when_built():
+    with pytest.raises(Uncoverable) as exc:
+        SetCoverInstance(2, [{0}])
+    assert str(exc.value) == "elements [1] belong to no set"
+    with pytest.raises(Uncoverable) as exc:
+        SetCoverInstance(3, [])
+    assert str(exc.value) == "elements [0, 1, 2] belong to no set"
+
+
+BASE = parse("2 1\n0 0 1\n")
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: MinRepInstance((("a", "a"),), (("b",),), ()),
+     ValueError, "parts within a side must be disjoint"),
+    (lambda: MinRepInstance((("a",),), (("a",),), ()),
+     ValueError, "A and B sides must be disjoint"),
+    (lambda: SetCoverInstance(2, [{0, 2}, {1}]),
+     ValueError, "set [0, 2] not within universe [0, 2)"),
+    (lambda: RecursiveParams((3, 0), (Fraction(1, 2), Fraction(1, 2)), 0),
+     ValueError, "sizes must be positive"),
+    (lambda: reduce_minrep_to_ma(MinRepInstance((("a",),), (("b",),), ())),
+     NoSuperedges, "instance has no superedges"),
+    (lambda: gen_padded_sequence(BASE, 1, 0, 0, ambient_n=3),
+     ValueError, "ambient_n must lie in [1, 2], got 3"),
+    (lambda: gen_padded_sequence(BASE, 1, -1, 0), ValueError, "eps_prime must be >= 0, got -1"),
+    (lambda: gen_padded_sequence(BASE, -1, 0, 0), ValueError, "pad_count must be >= 0, got -1"),
+    (lambda: reduce_setcover_to_mcss(SetCoverInstance(0, [])), ValueError, "need at least one set"),
+    (lambda: ekvc_to_setcover(3, []), ValueError, "need at least one hyperedge"),
+    (lambda: ekvc_to_setcover(3, [(0,)]), NotUniform, "hyperedges must have arity >= 2"),
+    (lambda: ekvc_to_setcover(3, [(0, 3)]), ValueError, "vertex 3 outside range [0, 3)"),
+], ids=["minrep-repeated-label", "minrep-label-on-both-sides", "setcover-outside-universe",
+        "recursive-size-0", "minrep-no-superedges", "padding-ambient-n", "padding-eps",
+        "padding-count", "setcover-no-sets", "ekvc-no-hyperedges", "ekvc-arity-1",
+        "ekvc-vertex-range"])
+def test_generator_argument_checks(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -127,3 +127,13 @@ def test_all_names_resolve_and_are_listed():
 def test_unknown_attribute_raises_naming_it():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         dcs.no_such_name
+
+
+def test_every_error_class_is_exported():
+    errors = import_module("dcs.errors")
+    classes = {name: obj for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.DcsError)}
+    assert "MalformedEdgeLine" in classes
+    for name, cls in classes.items():
+        assert name in dcs.__all__, name
+        assert getattr(dcs, name) is cls, name

@@ -154,3 +154,8 @@ def test_am_can_exceed_t_times_mm():
     g = parse("3 2\n1 0 1\n1 1 2\n0 0 1\n")
     assert score(g, [0, 1, 2], AM).value == 1
     assert score(g, [0, 1, 2], MM).value == 0
+
+
+def test_unknown_objective_name_is_refused():
+    with pytest.raises(ValueError, match="^unknown objective 'xx'$"):
+        ObjectiveKind("xx")

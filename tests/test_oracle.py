@@ -310,3 +310,14 @@ def test_exact_mcss_pruning_preserves_plain_enumeration_order():
         g = random_connected(rng, n, rng.randint(1, 3),
                              extra=rng.random() * 0.7, max_union=10)
         assert exact_mcss(g).edges == reference(g)
+
+
+def test_oracle_budget_caps_must_be_positive():
+    for caps in ({"max_vertices": 0}, {"max_union_edges": 0}):
+        with pytest.raises(ValueError, match="^budget caps must be positive$"):
+            OracleBudget(**caps)
+
+
+def test_exact_setcover_refuses_more_sets_than_its_budget():
+    with pytest.raises(BudgetExceeded, match="^m = 21 sets exceed budget 20$"):
+        exact_setcover(SetCoverInstance(1, [{0}] * 21))

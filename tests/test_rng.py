@@ -87,3 +87,8 @@ def test_bernoulli_block_dtype_and_wraparound():
     assert draws.tolist() == [scalar.bernoulli(0.5) for _ in range(8)]
     assert bernoulli_block(SplitMix64(2**64 - 1), 8, 0.5).tolist() == draws.tolist()
     assert block.next_u64() == scalar.next_u64()
+
+
+def test_sample_without_replacement_refuses_more_than_the_range():
+    with pytest.raises(ValueError, match=r"^cannot sample 4 from range\(3\)$"):
+        SplitMix64(0).sample_without_replacement(3, 4)

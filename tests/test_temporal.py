@@ -305,3 +305,26 @@ def test_vertex_set_canonical():
     assert s.members == (0, 1, 2)
     assert len(s) == 3 and 1 in s
     assert s == VertexSet((0, 1, 2))
+
+
+def test_constructor_needs_a_frame():
+    with pytest.raises(ValueError, match="^at least one frame is required$"):
+        TemporalGraph(3, [])
+
+
+def test_vertex_set_refuses_a_negative_vertex():
+    with pytest.raises(ValueError, match="^negative vertex -1$"):
+        VertexSet([-1])
+
+
+def test_graph_and_vertex_set_equal_no_other_type():
+    g, s = parse(TINY), VertexSet([1, 0])
+    assert g.__eq__(serialize(g)) is NotImplemented and g != serialize(g)
+    assert s.__eq__((0, 1)) is NotImplemented and s != (0, 1)
+
+
+def test_vertex_set_hash_and_repr():
+    s = VertexSet([2, 0, 2])
+    assert hash(s) == hash(VertexSet((0, 2))) == hash((0, 2))
+    assert {s: 1}[VertexSet([0, 2])] == 1
+    assert repr(s) == "VertexSet([0, 2])"
