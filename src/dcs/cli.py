@@ -202,12 +202,10 @@ def _flag_values():
         raise _UsageError(str(exc)) from None
 
 
-def _digest(g: temporal.TemporalGraph) -> str:
-    return hashlib.sha256(temporal.serialize(g).encode()).hexdigest()
-
-
-def _instance_info(g: temporal.TemporalGraph, path: str | None = None) -> dict:
-    info = {"digest": _digest(g), "n": g.n, "T": g.T}
+def _instance_info(g: temporal.TemporalGraph, path: str | None = None,
+                   text: str | None = None) -> dict:
+    text = temporal.serialize(g) if text is None else text
+    info = {"digest": hashlib.sha256(text.encode()).hexdigest(), "n": g.n, "T": g.T}
     if path is not None:
         info["path"] = path
     return info
@@ -260,8 +258,9 @@ def _run_gen(args) -> dict:
             else:  # setcover-mcss
                 g, names = generators.reduce_setcover_to_mcss(generators.random_set_cover(
                     args.elems, args.sets, args.prob, args.seed))
-    temporal.save(g, args.out)
-    report = {"out": args.out, "instance": _instance_info(g)}
+    text = temporal.serialize(g)
+    _write(args.out, text)
+    report = {"out": args.out, "instance": _instance_info(g, text=text)}
     if names is not None:
         names_path = args.out + ".names"
         _write(names_path, "".join(f"{i} {names[i]}\n" for i in sorted(names)))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CompleteGraph, NoSuperedges, NotSingleFrame, NotUniform, Uncoverable
 from .rng import SplitMix64, bernoulli_block, substream
-from .temporal import Edge, TemporalGraph
+from .temporal import Edge, TemporalGraph, as_int
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class RecursiveParams:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "nvec", tuple(int(v) for v in self.nvec))
+        object.__setattr__(self, "nvec", tuple(as_int(v, "size in nvec") for v in self.nvec))
         object.__setattr__(self, "pvec", tuple(Fraction(p) for p in self.pvec))
         if len(self.nvec) != len(self.pvec) or not self.nvec:
             raise ValueError("size and log-density vectors must have equal nonzero length")

@@ -82,15 +82,12 @@ class ObjectiveKind:
 def _kth_largest(measures, k: int):
     """The k-th largest of a list, or of an array's rows, entrywise.
 
-    A list is sorted.  An array's rows are selected by insertion: top[j] is
-    the (j+1)-th largest of the rows so far, and each row is merged in by
-    compare-exchanges, so T rows take about T * min(k, T-k+1) elementwise
-    steps; past the middle, the k-th largest is found as the (T-k+1)-th
-    smallest.  Along the first axis this beats np.partition, which works
-    on strided columns.
+    Rows are selected by insertion: top[j] is the (j+1)-th largest of the
+    rows so far, and each row is merged in by compare-exchanges, so T rows
+    take about T * min(k, T-k+1) elementwise steps; past the middle, the
+    k-th largest is found as the (T-k+1)-th smallest.  Along the first axis
+    this beats np.partition, which works on strided columns.
     """
-    if not isinstance(measures, np.ndarray):
-        return sorted(measures)[len(measures) - k]
     hi, lo = np.maximum, np.minimum
     if 2 * k > len(measures) + 1:
         hi, lo, k = lo, hi, len(measures) - k + 1

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, NotSingleFrame
 from .objectives import ObjectiveKind, Score, score
-from .temporal import TemporalGraph, VertexSet
+from .temporal import TemporalGraph, VertexSet, as_int
 
 if TYPE_CHECKING:
     from .generators import MinRepInstance, SetCoverInstance
@@ -61,6 +61,8 @@ class OracleBudget:
     max_union_edges: int = 22
 
     def __post_init__(self):
+        for cap in ("max_vertices", "max_union_edges"):
+            object.__setattr__(self, cap, as_int(getattr(self, cap), cap))
         if self.max_vertices < 1 or self.max_union_edges < 1:
             raise ValueError("budget caps must be positive")
 
@@ -239,9 +241,7 @@ def exact_mcss(g: TemporalGraph, budget: OracleBudget | None = None) -> EdgeSolu
     def _mcss_dfs(start, remaining, comps, counts, rho, chosen):
         if rho == 0:
             return chosen
-        if remaining == 0 or m - start < remaining:
-            return None
-        if rho > remaining * max_gain[start]:
+        if rho > remaining * max_gain[start]:  # also when no pick or no edge is left
             return None
         for t in range(T):
             if counts[t] - 1 > avail[t][start]:

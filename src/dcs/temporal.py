@@ -55,28 +55,25 @@ class TemporalGraph:
 
     def __init__(self, n: int, frames: Iterable[Iterable[Edge]]):
         frames = tuple(frames)
-        self._build(n, len(frames), *_collect(_frame_records(frames)))
+        self._build(n, len(frames), *_collect(n, len(frames), _frame_records(frames)))
 
     @classmethod
     def _from_array(cls, n: int, t_count: int, tuv: np.ndarray | list[tuple[int, ...]],
-                    lines: Sequence[int] | None = None,
-                    pending: Exception | None = None) -> TemporalGraph:
-        """Graph from (m, 3) integer (t, u, v) edge records; see `_build`."""
+                    lines: Sequence[int] | None = None) -> TemporalGraph:
+        """Graph from (m, 3) integer (t, u, v) records; see `_build` and `_collect`."""
         g = cls.__new__(cls)
-        g._build(n, t_count, tuv, lines, pending)
+        g._build(n, t_count, tuv, lines)
         return g
 
     def _build(self, n: int, t_count: int, tuv: np.ndarray | list[tuple[int, ...]],
-               lines: Sequence[int] | None = None, pending: Exception | None = None) -> None:
+               lines: Sequence[int] | None = None) -> None:
         """Validate (t, u, v) edge records and store them as `edge_arrays`.
 
-        The one edge check on every path into a graph.  ``tuv`` holds the
-        records read before ``pending``, the first fault a record shows on
-        its own, which is raised only if those records are clean.  A
-        record's faults are checked in the order frame index, vertex range,
-        self-loop, duplicate, and the earliest faulty record is reported,
-        naming ``lines[i]``, its 1-based source line (0 when ``lines`` is
-        None, for constructed graphs).
+        The one edge check on every path into a graph (`_collect` resolves
+        a malformed record first).  A record's faults are checked in the
+        order frame index, vertex range, self-loop, duplicate, and the
+        earliest faulty record is reported, naming ``lines[i]``, its 1-based
+        source line (0 when ``lines`` is None, for constructed graphs).
         """
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
@@ -104,8 +101,6 @@ class TemporalGraph:
         if bad.any():
             i = int(bad.argmax())
             _raise_fault(n, t_count, *map(int, tuv[i]), line=0 if lines is None else lines[i])
-        if pending is not None:
-            raise pending
         edges = np.stack((lo, hi), axis=1)
         edges.flags.writeable = False
         ends = np.bincount(t, minlength=t_count).cumsum()
@@ -295,7 +290,7 @@ def parse(text: str | bytes) -> TemporalGraph:
     else:
         raise MalformedHeader("empty input", line=1)
     n, t_count = _header(raw, lineno)
-    return TemporalGraph._from_array(n, t_count, *_collect(_line_records(lines)))
+    return TemporalGraph._from_array(n, t_count, *_collect(n, t_count, _line_records(lines)))
 
 
 def _header(raw: str, lineno: int) -> tuple[int, int]:
@@ -354,19 +349,22 @@ def _frame_records(frames: Sequence[Iterable[Edge]]) -> Iterator[tuple[int, tupl
             yield 0, row
 
 
-def _collect(records: Iterator[tuple[int, tuple[int, ...]]]
-             ) -> tuple[list[tuple[int, ...]], list[int], Exception | None]:
-    """(rows, lines, fault) of the records before the first one that is
-    faulty on its own; fault is that record's error, or None."""
+def _collect(n: int, t_count: int, records: Iterator[tuple[int, tuple[int, ...]]]
+             ) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(rows, lines) of the records for an (n, T) graph.  A record faulty on
+    its own (a bad line, a non-pair edge) is raised after the records before
+    it pass `_build`, outside the except block: an earlier fault wins, unchained."""
     rows: list[tuple[int, ...]] = []
     lines: list[int] = []
     try:
         for line, row in records:
             lines.append(line)
             rows.append(row)
-    except (ParseError, TypeError, ValueError) as exc:  # a bad line or a non-pair edge
-        return rows, lines, exc
-    return rows, lines, None
+        return rows, lines
+    except (ParseError, TypeError, ValueError) as exc:
+        fault = exc
+    TemporalGraph._from_array(n, t_count, rows, lines)
+    raise fault
 
 
 def _raise_fault(n: int, t_count: int, t: int, u: int, v: int, line: int) -> None:

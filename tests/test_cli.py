@@ -146,6 +146,32 @@ def test_gen_every_generator(tmp_path):
     assert rep["names_out"].endswith(".names")
 
 
+GENERATOR_ARGS = {
+    "gap": ("--n", "5"),
+    "minrep": ("--seed", "3"),
+    "mis": ("--n", "6", "--edge-prob", "0.5", "--seed", "3"),
+    "planted": ("--n", "16", "--eps", "1/10", "--planted", "--seed", "3"),
+    "recursive": ("--nvec", "20,5", "--pvec", "1/2,1/2", "--seed", "3"),
+    "setcover-mcss": ("--elems", "3", "--sets", "3", "--seed", "3"),
+}
+
+
+@pytest.mark.parametrize("generator", sorted(GENERATOR_ARGS))
+def test_gen_serializes_once_and_digests_the_file(tmp_path, monkeypatch, generator):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return serialize(g)
+
+    monkeypatch.setattr("dcs.temporal.serialize", counted)
+    out = tmp_path / "g.dcs"
+    code, report, err = invoke("gen", generator, *GENERATOR_ARGS[generator], "--out", str(out))
+    assert code == EXIT_OK, err
+    assert len(calls) == 1
+    assert report["instance"]["digest"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def test_gen_mis_tiny_random_input(tmp_path):
     out = str(tmp_path / "m.dcs")
     # a single vertex is always a complete graph, so --n 1 alone is wrong

@@ -152,6 +152,12 @@ def test_recursive_complete_case():
     assert len(g.frames[0]) == 10
 
 
+@pytest.mark.parametrize("size", [5.9, "5", Fraction(10, 2)])
+def test_recursive_sizes_must_be_integers(size):
+    with pytest.raises(ValueError, match=r"^size in nvec must be an integer, got "):
+        RecursiveParams((size,), (Fraction(1),), seed=3)
+
+
 def test_recursive_expected_edge_count():
     # C(100, 2) * 100**-0.5 = 495; sigma = sqrt(4950 * p * (1-p)) ~ 21
     p = 100**-0.5

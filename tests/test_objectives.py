@@ -116,6 +116,15 @@ def test_kma_aggregate_is_the_kth_entry_of_each_sorted_column():
                 assert KMA(k).aggregate(table).tolist() == want
 
 
+def test_kma_aggregate_of_a_list_is_its_kth_largest():
+    # score aggregates a plain list of per-frame ints
+    rng = random.Random(7)
+    for t_count in range(1, 14):
+        values = [rng.randrange(4) for _ in range(t_count)]
+        for k in range(1, t_count + 1):
+            assert KMA(k).aggregate(values) == sorted(values)[t_count - k]
+
+
 def test_degree_sum_formulation_is_twice_ma():
     # min over frames of (sum of induced degrees)/|S| equals 2 * MA score
     rng = random.Random(9)

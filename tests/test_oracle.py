@@ -318,6 +318,18 @@ def test_oracle_budget_caps_must_be_positive():
             OracleBudget(**caps)
 
 
+@pytest.mark.parametrize("cap, value", [("max_vertices", 2.5), ("max_union_edges", "3")])
+def test_oracle_budget_caps_must_be_integers(cap, value):
+    with pytest.raises(ValueError, match=f"^{cap} must be an integer, got {value!r}$"):
+        OracleBudget(**{cap: value})
+
+
+def test_oracle_budget_caps_take_integer_likes():
+    budget = OracleBudget(max_vertices=np.int64(3), max_union_edges=True)
+    assert (budget.max_vertices, budget.max_union_edges) == (3, 1)
+    assert type(budget.max_vertices) is int
+
+
 def test_exact_setcover_refuses_more_sets_than_its_budget():
     with pytest.raises(BudgetExceeded, match="^m = 21 sets exceed budget 20$"):
         exact_setcover(SetCoverInstance(1, [{0}] * 21))

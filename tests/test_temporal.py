@@ -153,6 +153,29 @@ def test_constructor_rejects_non_integer_labels():
         TemporalGraph(3, [[(0, 1)], [("1", 2)]])
 
 
+@pytest.mark.parametrize("build, line", [
+    (lambda: TemporalGraph(3, [[(0, 5), (0.5, 1)]]), 0),
+    (lambda: parse("3 1\n0 0 5\n0 x 1\n"), 2),
+])
+def test_an_earlier_records_fault_wins_unchained(build, line):
+    # the malformed record comes later, so the prefix fault is raised alone
+    with pytest.raises(EdgeOutOfRange) as info:
+        build()
+    assert info.value.line == line
+    assert info.value.__context__ is None
+
+
+@pytest.mark.parametrize("build, line", [
+    (lambda: TemporalGraph(3, [[(0, 1), (0.5, 1)]]), 0),
+    (lambda: parse("3 1\n0 0 1\n0 x 1\n"), 3),
+])
+def test_a_malformed_record_after_a_clean_prefix_raises_its_own_fault(build, line):
+    with pytest.raises(MalformedEdgeLine) as info:
+        build()
+    assert info.value.line == line
+    assert info.value.__suppress_context__ and info.value.__cause__ is None
+
+
 def test_integer_like_labels_round_trip():
     g = TemporalGraph(3, [[(True, np.int64(2))], [(np.int32(0), 2)]])
     text = serialize(g)
